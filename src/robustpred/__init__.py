@@ -17,8 +17,6 @@ from .dataio import (
     Dataset,
     LagSpec,
     build_lagged,
-    center_apply,
-    center_fit,
     load_model,
     read_csv,
     save_model,

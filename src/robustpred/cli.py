@@ -2,8 +2,8 @@
 
 Every command is deterministic given its effective configuration, which is
 echoed into the output directory as ``config_effective.txt`` for
-reproducibility. Config files are flat ``key=value`` text; command-line flags
-override file values.
+reproducibility. Config files are flat ``key=value`` text; a flag given on
+the command line overrides the file's value, which overrides the default.
 
 Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
 """
@@ -19,14 +19,21 @@ import numpy as np
 from . import dataio, evalkit
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
 from .dataio import CsvParseError, LagSpec, ModelFormatError, fmt_float
-from .gate import SingleClassError
+from .gate import SingleClassError, is_outlier
 from .linalg import ShapeError, ValidationError
-from .predictors import predict
-from .robust import fit_robust, outlier_probability, predict_robust
+from .robust import fit_robust, predict_parts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# defaults of the dataset-schema flags shared by fit and evaluate
+SCHEMA_DEFAULTS = {"feature-map": "none", "nox-col": "nox", "o3-col": "o3"}
+FIT_KEYS = {
+    "data", "model-out", "alpha", "x-cols", "z-cols", "y-col", "lag", "nox-col",
+    "o3-col", "date-col", "feature-map",
+}
+FEATURE_MAPS = ("none", "quadratic")
 
 
 def _read_config_file(path) -> dict:
@@ -42,17 +49,23 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _effective_config(args, parser) -> dict:
-    """Merge config-file values under explicit flags (flags win)."""
-    merged = dict(_read_config_file(args.config)) if getattr(args, "config", None) else {}
+def _effective_config(args, defaults=None) -> dict:
+    """Merge the flags given on the command line over config-file values over
+    ``defaults``. Flags default to None, so None means "not given"."""
+    merged = dict(defaults or {})
+    if getattr(args, "config", None):
+        merged.update(_read_config_file(args.config))
     for key, val in vars(args).items():
         if key in ("config", "func", "subcommand") or val is None:
             continue
-        cli_key = key.replace("_", "-")
-        default = parser.get_default(key)
-        if val != default or cli_key not in merged:
-            merged[cli_key] = val
+        merged[key.replace("_", "-")] = val
     return merged
+
+
+def _reject_unknown(merged, known) -> None:
+    unknown = sorted(set(merged) - known)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def _echo_config(out_dir: Path, merged: dict) -> None:
@@ -77,9 +90,7 @@ def _synthetic_config(merged) -> SyntheticConfig:
         "n", "n-test", "n-train", "n-runs", "seed", "alpha", "w1", "w0",
         "out", "z-bins",
     }
-    unknown = sorted(set(merged) - known)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    _reject_unknown(merged, known)
     common = dict(
         rho=_get(merged, "rho", float, 0.7),
         nu_z=_get(merged, "nu-z", float, 3.0 if process == "linear" else 5.0),
@@ -108,8 +119,8 @@ def _write_dataset_csv(path, X, Z, y):
     dataio.write_csv(path, names, cols)
 
 
-def cmd_simulate(args, parser) -> int:
-    merged = _effective_config(args, parser)
+def cmd_simulate(args) -> int:
+    merged = _effective_config(args)
     cfg = _synthetic_config(merged)
     out = Path(args.out)
     _echo_config(out, merged)
@@ -127,36 +138,38 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-def _load_dataset(args):
-    """Read a CSV and assemble (X_raw, Z, y) per the schema flags."""
-    table = dataio.read_csv(args.data, date_col=args.date_col)
-    if args.lag:
-        spec = LagSpec(L=args.lag, nox_column=args.nox_col, o3_column=args.o3_col)
+def _load_dataset(merged):
+    """Read a CSV and assemble (X_raw, Z, y) per the schema settings."""
+    table = dataio.read_csv(merged["data"], date_col=merged.get("date-col"))
+    lag = _get(merged, "lag", int, None)
+    if lag:
+        spec = LagSpec(L=lag, nox_column=merged["nox-col"], o3_column=merged["o3-col"])
         ds = dataio.build_lagged(table, spec)
     else:
-        if not (args.x_cols and args.z_cols and args.y_col):
+        x_cols, z_cols, y_col = (merged.get(k) for k in ("x-cols", "z-cols", "y-col"))
+        if not (x_cols and z_cols and y_col):
             raise ValidationError("--x-cols, --z-cols and --y-col are required without --lag")
-        ds = dataio.dataset_from_table(
-            table, args.x_cols.split(","), args.z_cols.split(","), args.y_col
-        )
-    X = feature_map_quadratic(ds.X) if args.feature_map == "quadratic" else ds.X
+        ds = dataio.dataset_from_table(table, x_cols.split(","), z_cols.split(","), y_col)
+    if merged["feature-map"] not in FEATURE_MAPS:
+        raise ValidationError(f"unknown feature map {merged['feature-map']!r}")
+    X = feature_map_quadratic(ds.X) if merged["feature-map"] == "quadratic" else ds.X
     return X, ds.Z, ds.y, ds
 
 
-def cmd_fit(args, parser) -> int:
-    merged = _effective_config(args, parser)
-    X, Z, y, ds = _load_dataset(args)
-    model = fit_robust(X, Z, y, args.alpha)
+def cmd_fit(args) -> int:
+    merged = _effective_config(args, {**SCHEMA_DEFAULTS, "alpha": 0.1})
+    _reject_unknown(merged, FIT_KEYS)
+    alpha = merged["alpha"] = float(merged["alpha"])
+    X, Z, y, ds = _load_dataset(merged)
+    model = fit_robust(X, Z, y, alpha)
     model_path = Path(args.model_out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_model(model, model_path, feature_map=args.feature_map)
+    dataio.save_model(model, model_path, feature_map=merged["feature-map"])
     _echo_config(model_path.parent, merged)
-
-    from .gate import is_outlier
 
     n_out = int(np.sum(is_outlier(model.region, Z)))
     report = [
-        f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(args.alpha)}",
+        f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(alpha)}",
         f"labels: {n_out} outliers, {X.shape[0] - n_out} inliers",
         f"gate: b0={fmt_float(model.gate.b0)} b1={fmt_float(model.gate.b1)}"
         f" converged={model.gate.converged} cross_entropy={fmt_float(model.gate.cross_entropy)}",
@@ -173,48 +186,30 @@ def cmd_fit(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args, parser) -> int:
+def cmd_predict(args) -> int:
     model, feature_map = dataio.load_model(args.model)
     table = dataio.read_csv(args.data, date_col=args.date_col)
-    x_cols = args.x_cols.split(",") if args.x_cols else [n for n in table.names]
+    x_cols = args.x_cols.split(",") if args.x_cols else list(table.names)
     X = np.column_stack([table.column(c) for c in x_cols])
+    gaps = np.argwhere(~np.isfinite(X))
+    if gaps.size:
+        r, c = gaps[0]
+        raise CsvParseError(f"{args.data}: missing or non-finite cell at row {r + 1}, column {x_cols[c]}")
     if feature_map == "quadratic":
         X = feature_map_quadratic(X)
-    from .gate import delta_stat
-
-    yhat = predict_robust(model, X)
-    p = outlier_probability(model, X)
-    delta = delta_stat(model.region, model.imputer, X - model.x_mean)
+    yhat, p, delta = predict_parts(model, X)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_csv(
-        out,
-        ["prediction", "p_outlier", "delta"],
-        {"prediction": np.atleast_1d(yhat), "p_outlier": np.atleast_1d(p), "delta": np.atleast_1d(delta)},
-    )
+    dataio.write_csv(out, ["prediction", "p_outlier", "delta"], {"prediction": yhat, "p_outlier": p, "delta": delta})
     print(f"wrote {out} ({X.shape[0]} rows)")
     return EXIT_OK
 
 
-def _report_rows(model, X, Z, y):
-    fns = {
-        "optimistic": lambda X, Z: predict(model.w_opt, X),
-        "conservative": lambda X, Z: predict(model.w_con, X),
-        "robust": lambda X, Z: predict_robust(model, X),
-    }
-    reports = {k: evalkit.evaluate(fn, X, Z, y, model.region) for k, fn in fns.items()}
-    base = reports["optimistic"]
-    rows = []
-    for name, rep in reports.items():
-        d_in, d_out = evalkit.delta_percent(rep, base)
-        rows.append((name, rep, d_in, d_out))
-    return rows
-
-
-def cmd_evaluate(args, parser) -> int:
+def cmd_evaluate(args) -> int:
     model, feature_map = dataio.load_model(args.model)
-    args.feature_map = feature_map
-    X, Z, y, _ = _load_dataset(args)
+    merged = _effective_config(args, SCHEMA_DEFAULTS)
+    merged["feature-map"] = feature_map
+    X, Z, y, _ = _load_dataset(merged)
     if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.z_mean.shape[0]:
         raise ShapeError(
             f"test schema ({X.shape[1]}, {Z.shape[1]}) does not match model "
@@ -223,7 +218,8 @@ def cmd_evaluate(args, parser) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["predictor,mse,mse_inlier,mse_outlier,n_inlier,n_outlier,delta_inlier_pct,delta_outlier_pct"]
-    for name, rep, d_in, d_out in _report_rows(model, X, Z, y):
+    rows, _ = evalkit.compare_predictors(model, X, Z, y)
+    for name, rep, d_in, d_out in rows:
         def f(v):
             return fmt_float(v) if v is not None and not np.isnan(v) else ""
 
@@ -236,8 +232,8 @@ def cmd_evaluate(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args, parser) -> int:
-    merged = _effective_config(args, parser)
+def cmd_experiment(args) -> int:
+    merged = _effective_config(args)
     cfg = _synthetic_config(merged)
     alpha = _get(merged, "alpha", float, 0.1)
     n_train = _get(merged, "n-train", int, 100)
@@ -320,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z-cols", help="comma-separated missing feature columns")
         p.add_argument("--y-col", help="outcome column")
         p.add_argument("--lag", type=int, default=None, help="build 2L lagged features")
-        p.add_argument("--nox-col", default="nox")
-        p.add_argument("--o3-col", default="o3")
+        p.add_argument("--nox-col", help="NOx column for --lag (default: nox)")
+        p.add_argument("--o3-col", help="O3 column for --lag (default: o3)")
         p.add_argument("--date-col", default=None)
-        p.add_argument("--feature-map", choices=["none", "quadratic"], default="none")
+        p.add_argument("--feature-map", choices=FEATURE_MAPS, help="default: none")
 
     p = sub.add_parser("simulate", help="write synthetic train/test CSVs")
     common(p)
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--data", required=True, help="training CSV")
     schema_flags(p)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, help="tail-region mass (default: 0.1)")
     p.add_argument("--model-out", required=True, help="model file path")
     p.set_defaults(func=cmd_fit)
 
@@ -372,7 +368,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ValidationError, ShapeError, CsvParseError, ModelFormatError,
             SingleClassError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

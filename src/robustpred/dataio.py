@@ -1,11 +1,9 @@
-"""CSV ingestion, centering, lag-feature construction for daily series,
-chronological splitting and model serialization.
+"""CSV ingestion, lag-feature construction for daily series, chronological
+splitting and model serialization.
 
-Centering statistics are always fitted on training data only and reused on
-test data; lagged features never include same-day information. The model file
-is a versioned, self-describing key=value text document whose floats are
-written at full round-trip precision, so load(save(m)) predicts bitwise
-identically.
+Lagged features never include same-day information. The model file is a
+versioned, self-describing key=value text document whose floats are written
+at full round-trip precision, so load(save(m)) predicts bitwise identically.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gate import LogisticGate, OutlierRegion
-from .linalg import ShapeError
 from .predictors import Imputer, LinearPredictor
 from .robust import RobustModel
 
@@ -118,19 +115,11 @@ def write_csv(path, names, columns, dates=None, date_col="date") -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned (X, Z, y) arrays plus centering state.
-
-    Means are stored exactly once, from training data; ``centered`` records
-    whether the arrays have been shifted by them.
-    """
+    """Aligned raw (X, Z, y) arrays; ``fit_robust`` does the centering."""
 
     X: np.ndarray
     Z: np.ndarray
     y: np.ndarray
-    x_mean: np.ndarray = None
-    z_mean: np.ndarray = None
-    y_mean: float = 0.0
-    centered: bool = False
     column_names: tuple = ()
     dates: tuple = None
     n_dropped: int = 0
@@ -216,41 +205,6 @@ def build_lagged(table: RawTable, spec: LagSpec) -> Dataset:
         column_names=names + (f"{spec.o3_column}_now", spec.nox_column),
         dates=tuple(kept_dates) if table.dates is not None else None,
         n_dropped=dropped,
-    )
-
-
-def center_fit(dataset: Dataset) -> Dataset:
-    """Center a training dataset by its own column means, storing them."""
-    x_mean = dataset.X.mean(axis=0)
-    z_mean = dataset.Z.mean(axis=0) if dataset.Z.size else np.zeros(dataset.Z.shape[1])
-    y_mean = float(dataset.y.mean())
-    return replace(
-        dataset,
-        X=dataset.X - x_mean,
-        Z=dataset.Z - z_mean,
-        y=dataset.y - y_mean,
-        x_mean=x_mean,
-        z_mean=z_mean,
-        y_mean=y_mean,
-        centered=True,
-    )
-
-
-def center_apply(dataset: Dataset, fitted: Dataset) -> Dataset:
-    """Center a dataset with the means previously fitted on training data."""
-    if fitted.x_mean is None:
-        raise ValueError("fitted dataset carries no centering means")
-    if dataset.X.shape[1] != fitted.x_mean.shape[0] or dataset.Z.shape[1] != fitted.z_mean.shape[0]:
-        raise ShapeError("dimension mismatch with stored centering means")
-    return replace(
-        dataset,
-        X=dataset.X - fitted.x_mean,
-        Z=dataset.Z - fitted.z_mean,
-        y=dataset.y - fitted.y_mean,
-        x_mean=fitted.x_mean,
-        z_mean=fitted.z_mean,
-        y_mean=fitted.y_mean,
-        centered=True,
     )
 
 

@@ -13,9 +13,9 @@ import numpy as np
 
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
 from .gate import OutlierRegion, is_outlier
-from .linalg import SecondMoments, ShapeError, empirical_mse, pseudoinverse
+from .linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle, predict, predict_oracle
-from .robust import fit_robust, predict_robust
+from .robust import RobustModel, fit_robust, predict_robust
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,31 @@ class EvalReport:
     alpha: float
 
 
+PREDICTORS = ("optimistic", "conservative", "robust")
+
+
+def _aligned(X_test, Z_test, y_test):
+    X = np.asarray(X_test, dtype=float)
+    Z = np.asarray(Z_test, dtype=float)
+    y = np.asarray(y_test, dtype=float).ravel()
+    if X.shape[0] != Z.shape[0] or X.shape[0] != y.shape[0]:
+        raise ShapeError("test arrays are not aligned")
+    return X, Z, y
+
+
+def _split_report(err2, out_mask, alpha) -> EvalReport:
+    n_out = int(out_mask.sum())
+    n_in = int(len(err2) - n_out)
+    return EvalReport(
+        mse=float(err2.mean()),
+        mse_out=float(err2[out_mask].mean()) if n_out else None,
+        mse_in=float(err2[~out_mask].mean()) if n_in else None,
+        n_out=n_out,
+        n_in=n_in,
+        alpha=alpha,
+    )
+
+
 def evaluate(predict_fn, X_test, Z_test, y_test, region: OutlierRegion) -> EvalReport:
     """Split test rows by region membership of z and average squared errors.
 
@@ -40,23 +65,31 @@ def evaluate(predict_fn, X_test, Z_test, y_test, region: OutlierRegion) -> EvalR
     ignore z simply discard the second argument. The region must come from
     training z-moments: z is unseen at prediction time.
     """
-    X = np.asarray(X_test, dtype=float)
-    Z = np.asarray(Z_test, dtype=float)
-    y = np.asarray(y_test, dtype=float).ravel()
-    if X.shape[0] != Z.shape[0] or X.shape[0] != y.shape[0]:
-        raise ShapeError("test arrays are not aligned")
+    X, Z, y = _aligned(X_test, Z_test, y_test)
     err2 = (y - np.asarray(predict_fn(X, Z), dtype=float).ravel()) ** 2
-    out_mask = is_outlier(region, Z)
-    n_out = int(out_mask.sum())
-    n_in = int(len(y) - n_out)
-    return EvalReport(
-        mse=float(err2.mean()),
-        mse_out=float(err2[out_mask].mean()) if n_out else None,
-        mse_in=float(err2[~out_mask].mean()) if n_in else None,
-        n_out=n_out,
-        n_in=n_in,
-        alpha=region.alpha,
-    )
+    return _split_report(err2, is_outlier(region, Z), region.alpha)
+
+
+def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
+    """Evaluate the optimistic, conservative and robust predictors of a model
+    on one test set.
+
+    Each predictor runs once and the tail mask is computed once. Returns
+    ``(rows, err2)``: rows of (name, EvalReport, delta_in_pct, delta_out_pct)
+    with deltas against the optimistic report, and the squared errors per
+    predictor name.
+    """
+    X, Z, y = _aligned(X_test, Z_test, y_test)
+    err2 = {
+        "optimistic": (y - predict(model.w_opt, X)) ** 2,
+        "conservative": (y - predict(model.w_con, X)) ** 2,
+        "robust": (y - predict_robust(model, X)) ** 2,
+    }
+    out_mask = is_outlier(model.region, Z)
+    reports = {name: _split_report(e, out_mask, model.region.alpha) for name, e in err2.items()}
+    base = reports["optimistic"]
+    rows = [(name, rep, *delta_percent(rep, base)) for name, rep in reports.items()]
+    return rows, err2
 
 
 def delta_percent(report, baseline) -> tuple:
@@ -125,9 +158,7 @@ def conditional_mse_curve(predict_fn, X_test, Z_test, y_test, z_bins):
     ``z_bins`` is an array of bin edges or an integer bin count. Returns a
     list of (bin center, mse or None, count); empty bins keep count 0.
     """
-    X = np.asarray(X_test, dtype=float)
-    Z = np.asarray(Z_test, dtype=float)
-    y = np.asarray(y_test, dtype=float).ravel()
+    X, Z, y = _aligned(X_test, Z_test, y_test)
     if Z.ndim != 2 or Z.shape[1] != 1:
         raise ShapeError("conditional curves are defined for scalar z only")
     z = Z[:, 0]
@@ -171,11 +202,10 @@ def run_mc_experiment(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    names = ["optimistic", "conservative", "robust"]
-    deltas = {name: ([], []) for name in names}
+    deltas = {name: ([], []) for name in PREDICTORS}
     failed = []
 
-    curve_names = names + (["oracle"] if include_oracle else [])
+    curve_names = PREDICTORS + (("oracle",) if include_oracle else ())
     want_curves = z_bin_edges is not None
     sq_sums = counts = centers = None
     if want_curves:
@@ -192,34 +222,24 @@ def run_mc_experiment(
         except Exception as exc:  # noqa: BLE001 - failed runs are data, not crashes
             failed.append((i, str(exc)))
             continue
-        fns = {
-            "optimistic": lambda X, Z, m=model: predict(m.w_opt, X),
-            "conservative": lambda X, Z, m=model: predict(m.w_con, X),
-            "robust": lambda X, Z, m=model: predict_robust(m, X),
-        }
-        reports = {
-            name: evaluate(fn, X_te, Z_te, y_te, model.region) for name, fn in fns.items()
-        }
-        for name in names:
-            d_in, d_out = delta_percent(reports[name], reports["optimistic"])
+        compared, err2 = compare_predictors(model, X_te, Z_te, y_te)
+        for name, _, d_in, d_out in compared:
             deltas[name][0].append(d_in)
             deltas[name][1].append(d_out)
 
         if want_curves and Z_te.shape[1] == 1:
-            oracle = None
             if include_oracle:
-                from .linalg import accumulate_moments
-
-                x_mean, z_mean, y_mean = X_tr.mean(0), Z_tr.mean(0), float(y_tr.mean())
-                m = accumulate_moments(X_tr - x_mean, Z_tr - z_mean, y_tr - y_mean)
-                oracle = fit_oracle(m, x_mean, z_mean, y_mean)
-                fns["oracle"] = lambda X, Z, o=oracle: predict_oracle(o, X, Z)
+                m = accumulate_moments(X_tr - model.x_mean, Z_tr - model.z_mean, y_tr - model.y_mean)
+                oracle = fit_oracle(m, model.x_mean, model.z_mean, model.y_mean)
+                err2["oracle"] = (y_te - predict_oracle(oracle, X_te, Z_te)) ** 2
             idx = np.digitize(Z_te[:, 0], z_bin_edges) - 1
             valid = (idx >= 0) & (idx < len(centers))
             for name in curve_names:
-                err2 = (y_te - np.asarray(fns[name](X_te, Z_te)).ravel()) ** 2
-                sq_sums[name] += np.bincount(idx[valid], err2[valid], minlength=len(centers))
+                sq_sums[name] += np.bincount(idx[valid], err2[name][valid], minlength=len(centers))
                 counts[name] += np.bincount(idx[valid], minlength=len(centers))
+        # the next run's data generation is the peak of memory; do not hold
+        # this run's squared errors through it
+        del err2
 
     rows = tuple(
         DeltaRow(
@@ -227,7 +247,7 @@ def run_mc_experiment(
             delta_in_runs=np.asarray(deltas[name][0]),
             delta_out_runs=np.asarray(deltas[name][1]),
         )
-        for name in names
+        for name in PREDICTORS
     )
     table = DeltaTable(rows=rows, alpha=alpha, n_runs=n_runs, failed_runs=tuple(failed))
     curves = None
@@ -266,11 +286,12 @@ def excess_mse_check(moments: SecondMoments, w) -> ExcessMseCheck:
     szz_inv = np.linalg.inv(szz)
     gamma = szz_inv @ moments.szx
 
-    joint = np.block([[moments.sxx, moments.szx.T], [moments.szx, moments.szz]])
-    rhs_vec = np.concatenate([moments.sxy, moments.szy])
-    sol = pseudoinverse(joint) @ rhs_vec
-    alpha_w, beta_w = sol[: moments.d], sol[moments.d :]
-    mse_star = float(moments.syy - 2.0 * sol @ rhs_vec + sol @ joint @ sol)
+    oracle = fit_oracle(moments)
+    alpha_w, beta_w = oracle.alpha_w, oracle.beta_w
+    # MSE of the joint predictor: the x-only MSE of alpha_w plus the beta_w terms
+    mse_star = empirical_mse(moments, alpha_w) + float(
+        beta_w @ (moments.szz @ beta_w + 2.0 * (moments.szx @ alpha_w - moments.szy))
+    )
 
     diff = alpha_w - w
     v1 = gamma @ diff + beta_w

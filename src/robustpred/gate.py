@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, ValidationError
+from .linalg import ShapeError, ValidationError, as_batch
 from .predictors import Imputer
 
 MAX_GATE_PARAM = 1e3
@@ -48,41 +48,35 @@ class OutlierRegion:
         return self.q / self.alpha
 
 
+def _quadratic_form(Z, m):
+    return np.einsum("ij,jk,ik->i", Z, m, Z)
+
+
 def mahalanobis_stat(region: OutlierRegion, z) -> float | np.ndarray:
     """Quadratic form of z (single q-vector or n x q batch) in the region metric."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != region.q:
-        raise ShapeError(f"expected z dimension {region.q}, got {z.shape[-1]}")
-    zc = z - region.center
-    if zc.ndim == 2:
-        return np.einsum("ij,jk,ik->i", zc, region.minv, zc)
-    return float(zc @ region.minv @ zc)
+    Z, unbatch = as_batch(z)
+    if Z.shape[1] != region.q:
+        raise ShapeError(f"expected z dimension {region.q}, got {Z.shape[1]}")
+    return unbatch(_quadratic_form(Z - region.center, region.minv))
 
 
 def is_outlier(region: OutlierRegion, z) -> bool | np.ndarray:
     """Region membership; ties at the boundary count as outliers."""
-    stat = mahalanobis_stat(region, z)
-    out = stat >= region.threshold
-    return out if isinstance(stat, np.ndarray) else bool(out)
+    Z, unbatch = as_batch(z)
+    return unbatch(mahalanobis_stat(region, Z) >= region.threshold)
 
 
 def delta_stat(region: OutlierRegion, imputer: Imputer, x_centered) -> float | np.ndarray:
-    """Mahalanobis norm of the imputed z at centered x.
+    """Mahalanobis norm of the imputed z at centered x (vector or batch).
 
     Tiny negative quadratic forms from roundoff are clamped to zero; anything
     below -1e-12 indicates a broken metric and raises.
     """
-    zhat = imputer.impute(x_centered)
-    if zhat.ndim == 1:
-        zhat = zhat[None, :]
-        scalar = True
-    else:
-        scalar = False
-    form = np.einsum("ij,jk,ik->i", zhat, region.minv, zhat)
+    X, unbatch = as_batch(x_centered)
+    form = _quadratic_form(imputer.impute(X), region.minv)
     if np.any(form < -1e-12):
         raise ValidationError("negative Mahalanobis quadratic form; metric not PSD")
-    delta = np.sqrt(np.clip(form, 0.0, None))
-    return float(delta[0]) if scalar else delta
+    return unbatch(np.sqrt(np.maximum(form, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -111,12 +105,9 @@ class LogisticGate:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of -|t| never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def gate_cross_entropy(b0: float, b1: float, deltas, labels) -> float:
@@ -128,17 +119,19 @@ def gate_cross_entropy(b0: float, b1: float, deltas, labels) -> float:
     return float(np.mean(softplus - y * t))
 
 
-def fit_gate(pairs) -> LogisticGate:
+def fit_gate(deltas, labels) -> LogisticGate:
     """Fit the logistic gate by Newton's method on the cross-entropy.
 
-    ``pairs`` is an iterable of (delta, label). Requires both classes present;
-    a single class means the chosen alpha produced no (or only) outliers, so
-    the error advises raising it. Perfect separation has no finite minimizer:
-    parameters are capped at magnitude 1e3 and the gate marked not converged.
+    ``deltas`` and ``labels`` are equal-length 1-D arrays; labels are read as
+    booleans. Requires both classes present; a single class means the chosen
+    alpha produced no (or only) outliers, so the error advises raising it.
+    Perfect separation has no finite minimizer: parameters are capped at
+    magnitude 1e3 and the gate marked not converged.
     """
-    pairs = list(pairs)
-    deltas = np.asarray([p[0] for p in pairs], dtype=float)
-    labels = np.asarray([bool(p[1]) for p in pairs], dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    labels = np.asarray(labels, dtype=bool).astype(float)
+    if deltas.ndim != 1 or deltas.shape != labels.shape:
+        raise ShapeError("deltas and labels must be 1-D arrays of equal length")
     if not np.all(np.isfinite(deltas)) or np.any(deltas < 0):
         raise ValidationError("deltas must be finite and nonnegative")
     n_pos = int(labels.sum())
@@ -193,8 +186,6 @@ def fit_gate(pairs) -> LogisticGate:
 
 def prob_outlier(gate: LogisticGate, delta) -> float | np.ndarray:
     """Gate probability sigmoid(b0 + b1 * delta), always strictly in (0, 1)."""
-    t = np.asarray(gate.b0 + gate.b1 * np.asarray(delta, dtype=float))
-    p = _sigmoid(np.atleast_1d(t).astype(float))
-    tiny = np.finfo(float).tiny
-    p = np.clip(p, tiny, 1.0 - 1e-16)
-    return p if np.ndim(delta) else float(p[0])
+    deltas, unbatch = as_batch(delta, ndim=1)
+    p = _sigmoid(gate.b0 + gate.b1 * deltas)
+    return unbatch(np.minimum(np.maximum(p, np.finfo(float).tiny), 1.0 - 1e-16))

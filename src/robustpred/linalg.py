@@ -34,6 +34,31 @@ def as_matrix(a, name="array") -> np.ndarray:
     return m
 
 
+def _unchanged(result):
+    return result
+
+
+def _first(result):
+    first = result[0]
+    return first.item() if first.ndim == 0 else first
+
+
+def as_batch(a, ndim: int = 2):
+    """Lift a single input to a batch of one; pass a batch through.
+
+    ``ndim`` is the rank of a batch: 2 for rows (n x d), 1 for scalars such as
+    delta. Returns the float batch and a function that maps a result computed
+    on it back to the caller's shape: unchanged for a batch, otherwise its
+    first entry, as a Python scalar when that entry is 0-d.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == ndim:
+        return a, _unchanged
+    if a.ndim != ndim - 1:
+        raise ShapeError(f"expected a {ndim - 1}-D or {ndim}-D input, got ndim={a.ndim}")
+    return a[None], _first
+
+
 def as_vector(a, name="array") -> np.ndarray:
     v = np.asarray(a, dtype=float).ravel()
     if not np.all(np.isfinite(v)):

@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     SecondMoments,
     ShapeError,
+    as_batch,
     minimize_quadratic_on_affine,
     null_space_projector,
     pseudoinverse,
@@ -68,11 +69,11 @@ class Imputer:
     gmat: np.ndarray
 
     def impute(self, x_centered) -> np.ndarray:
-        x = np.asarray(x_centered, dtype=float)
-        return x @ self.gmat.T if x.ndim == 2 else self.gmat @ x
+        X, unbatch = as_batch(x_centered)
+        return unbatch(X @ self.gmat.T)
 
 
-def _centering(moments, x_mean, y_mean, d):
+def _centering(x_mean, y_mean, d):
     if x_mean is None:
         x_mean = np.zeros(d)
     return np.asarray(x_mean, dtype=float), float(y_mean)
@@ -80,7 +81,7 @@ def _centering(moments, x_mean, y_mean, d):
 
 def fit_optimistic(moments: SecondMoments, x_mean=None, y_mean=0.0) -> LinearPredictor:
     """Unconstrained sample-MSE minimizer over x."""
-    x_mean, y_mean = _centering(moments, x_mean, y_mean, moments.d)
+    x_mean, y_mean = _centering(x_mean, y_mean, moments.d)
     w = pseudoinverse(moments.sxx) @ moments.sxy
     return LinearPredictor(weights=w, kind="optimistic", x_mean=x_mean, y_mean=y_mean)
 
@@ -94,7 +95,7 @@ def fit_conservative(moments: SecondMoments, x_mean=None, y_mean=0.0) -> LinearP
     set may be empty; the least-squares anchor is used and the result flagged
     infeasible, which signals degenerate training data rather than aborting.
     """
-    x_mean, y_mean = _centering(moments, x_mean, y_mean, moments.d)
+    x_mean, y_mean = _centering(x_mean, y_mean, moments.d)
     if moments.q == 0:
         opt = fit_optimistic(moments, x_mean, y_mean)
         return LinearPredictor(
@@ -126,7 +127,7 @@ def fit_conservative(moments: SecondMoments, x_mean=None, y_mean=0.0) -> LinearP
 def fit_oracle(moments: SecondMoments, x_mean=None, z_mean=None, y_mean=0.0) -> OraclePredictor:
     """Joint least-squares fit over the stacked (x, z) feature vector."""
     d, q = moments.d, moments.q
-    x_mean, y_mean = _centering(moments, x_mean, y_mean, d)
+    x_mean, y_mean = _centering(x_mean, y_mean, d)
     if z_mean is None:
         z_mean = np.zeros(q)
     z_mean = np.asarray(z_mean, dtype=float)
@@ -148,17 +149,15 @@ def predict(p: LinearPredictor, x) -> float | np.ndarray:
 
     Accepts a single d-vector or an n x d batch.
     """
-    x = np.asarray(x, dtype=float)
+    X, unbatch = as_batch(x)
     d = p.weights.shape[0]
-    if x.shape[-1] != d:
-        raise ShapeError(f"expected feature dimension {d}, got {x.shape[-1]}")
-    out = (x - p.x_mean) @ p.weights + p.y_mean
-    return out if x.ndim == 2 else float(out)
+    if X.shape[1] != d:
+        raise ShapeError(f"expected feature dimension {d}, got {X.shape[1]}")
+    return unbatch((X - p.x_mean) @ p.weights + p.y_mean)
 
 
 def predict_oracle(p: OraclePredictor, x, z) -> float | np.ndarray:
     """Predict from raw x and raw z with the infeasible joint predictor."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = (x - p.x_mean) @ p.alpha_w + (z - p.z_mean) @ p.beta_w + p.y_mean
-    return out if x.ndim == 2 else float(out)
+    X, unbatch = as_batch(x)
+    Z, _ = as_batch(z)
+    return unbatch((X - p.x_mean) @ p.alpha_w + (Z - p.z_mean) @ p.beta_w + p.y_mean)

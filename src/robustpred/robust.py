@@ -2,9 +2,10 @@
 conservative predictors.
 
 Fitting runs the full pipeline on raw training data: center, accumulate
-moments, fit both predictors, the imputer and the tail region, build the
-training pairs (delta(x_i), outlier indicator), and fit the logistic gate.
-The fitted model is immutable; prediction is pure and concurrent-safe.
+moments, fit both predictors, the imputer and the tail region, compute
+delta(x_i) and the outlier indicator of every training row, and fit the
+logistic gate on them. The fitted model is immutable; prediction is pure and
+concurrent-safe, and every prediction entry point runs one batch routine.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gate as gate_mod
-from .gate import LogisticGate, OutlierRegion, delta_stat, is_outlier, prob_outlier
-from .linalg import ShapeError, accumulate_moments, as_matrix, as_vector, pseudoinverse
+from .gate import LogisticGate, OutlierRegion, delta_stat, fit_gate, is_outlier, prob_outlier
+from .linalg import ShapeError, accumulate_moments, as_batch, as_matrix, as_vector, pseudoinverse
 from .predictors import Imputer, LinearPredictor, fit_conservative, fit_imputer, fit_optimistic
 
 
@@ -43,8 +43,8 @@ class RobustModel:
 def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     """Fit the adaptive predictor from raw training data.
 
-    Steps: optimistic fit, conservative fit, per-sample (delta(x_i),
-    outlier indicator) pairs, then the logistic gate. Raises
+    Steps: optimistic fit, conservative fit, delta(x_i) and the outlier
+    indicator of each sample, then the logistic gate. Raises
     ``SingleClassError`` when alpha yields single-class labels.
     """
     X = as_matrix(X, "X")
@@ -73,9 +73,7 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     imputer = fit_imputer(moments)
     region = OutlierRegion(minv=pseudoinverse(moments.szz), alpha=alpha, center=z_mean)
 
-    deltas = delta_stat(region, imputer, Xc)
-    labels = is_outlier(region, Z)
-    fitted_gate = gate_mod.fit_gate(zip(deltas, labels))
+    fitted_gate = fit_gate(delta_stat(region, imputer, Xc), is_outlier(region, Z))
 
     return RobustModel(
         w_opt=w_opt,
@@ -90,33 +88,37 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     )
 
 
+def predict_parts(model: RobustModel, X) -> tuple:
+    """Prediction, gate probability and delta for an n x d batch of raw x.
+
+    Each of delta(x), the gate and the two base predictions is computed once
+    per row; every other prediction entry point reads its result from here.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.x_mean.shape[0]:
+        raise ShapeError(f"expected an n x {model.x_mean.shape[0]} batch, got shape {X.shape}")
+    xc = X - model.x_mean
+    delta = delta_stat(model.region, model.imputer, xc)
+    p = prob_outlier(model.gate, delta)
+    opt = xc @ model.w_opt.weights
+    con = xc @ model.w_con.weights
+    return (1.0 - p) * opt + p * con + model.y_mean, p, delta
+
+
 def outlier_probability(model: RobustModel, x) -> float | np.ndarray:
     """Gate probability of an outlying z given raw x (vector or batch)."""
-    x = np.asarray(x, dtype=float)
-    delta = delta_stat(model.region, model.imputer, x - model.x_mean)
-    return prob_outlier(model.gate, delta)
+    X, unbatch = as_batch(x)
+    return unbatch(predict_parts(model, X)[1])
 
 
 def adaptive_weights(model: RobustModel, x) -> np.ndarray:
     """Effective weight vector at x: convex mix of the two base predictors."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.x_mean.shape[0]:
-        raise ShapeError(f"expected feature dimension {model.x_mean.shape[0]}")
-    p = outlier_probability(model, x)
-    wo, wc = model.w_opt.weights, model.w_con.weights
-    if x.ndim == 2:
-        p = np.asarray(p)[:, None]
-    return (1.0 - p) * wo + p * wc
+    X, unbatch = as_batch(x)
+    p = predict_parts(model, X)[1][:, None]
+    return unbatch((1.0 - p) * model.w_opt.weights + p * model.w_con.weights)
 
 
 def predict_robust(model: RobustModel, x) -> float | np.ndarray:
     """Prediction with the adaptive weight vector on raw x (vector or batch)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.x_mean.shape[0]:
-        raise ShapeError(f"expected feature dimension {model.x_mean.shape[0]}")
-    xc = x - model.x_mean
-    p = outlier_probability(model, x)
-    opt = xc @ model.w_opt.weights
-    con = xc @ model.w_con.weights
-    out = (1.0 - p) * opt + p * con + model.y_mean
-    return out if x.ndim == 2 else float(out)
+    X, unbatch = as_batch(x)
+    return unbatch(predict_parts(model, X)[0])

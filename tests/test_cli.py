@@ -77,6 +77,51 @@ class TestFit:
                        "--alpha", "0.1", "--model-out", str(tmp_path / sub / "model.txt")) == EXIT_OK
         assert (tmp_path / "m1" / "model.txt").read_bytes() == (tmp_path / "m2" / "model.txt").read_bytes()
 
+    def test_config_file_sets_fit_flags(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("alpha=0.5\nfeature-map=quadratic\n")
+        model = tmp_path / "m" / "model.txt"
+        assert run("fit", "--config", str(cfg), "--data", str(out / "train.csv"), *SCHEMA,
+                   "--model-out", str(model)) == EXIT_OK
+        assert "alpha=0.5\n" in capsys.readouterr().out
+        text = model.read_text()
+        assert "\nalpha=0.5\n" in text and "\nfeature_map=quadratic\n" in text
+        echoed = (model.parent / "config_effective.txt").read_text().splitlines()
+        assert "alpha=0.5" in echoed and "feature-map=quadratic" in echoed
+
+    def test_fit_flag_beats_config_file(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("alpha=0.5\n")
+        model = tmp_path / "m" / "model.txt"
+        assert run("fit", "--config", str(cfg), "--data", str(out / "train.csv"), *SCHEMA,
+                   "--alpha", "0.1", "--model-out", str(model)) == EXIT_OK
+        assert "alpha=0.10000000000000001\n" in capsys.readouterr().out
+        echoed = (model.parent / "config_effective.txt").read_text().splitlines()
+        assert "alpha=0.1" in echoed and "alpha=0.5" not in echoed
+
+    def test_unknown_fit_config_key(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("alhpa=0.5\n")
+        assert run("fit", "--config", str(cfg), "--data", str(out / "train.csv"), *SCHEMA,
+                   "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
+        assert "alhpa" in capsys.readouterr().err
+
+    def test_config_file_sets_lag_columns(self, tmp_path):
+        rng = np.random.default_rng(14)
+        from robustpred.dataio import write_csv
+
+        data = tmp_path / "daily.csv"
+        write_csv(data, ["no_x", "ozone"], {"no_x": rng.normal(size=300), "ozone": rng.normal(size=300)})
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("nox-col=no_x\no3-col=ozone\nalpha=0.3\n")
+        model = tmp_path / "m" / "model.txt"
+        assert run("fit", "--config", str(cfg), "--data", str(data), "--lag", "3",
+                   "--model-out", str(model)) == EXIT_OK
+        assert "n=297 d=6 q=1 alpha=0.29999999999999999" in (model.parent / "fit_report.txt").read_text()
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -129,6 +174,25 @@ class TestPredict:
         assert len(lines) == 2001
         p = float(lines[1].split(",")[1])
         assert 0.0 < p < 1.0
+
+
+    def test_gap_in_x_fails_with_row_and_column(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA,
+                   "--alpha", "0.1", "--model-out", str(model)) == EXIT_OK
+        lines = (out / "test.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = ""
+        lines[3] = ",".join(cells)
+        data = tmp_path / "gappy.csv"
+        data.write_text("\n".join(lines) + "\n")
+        preds = tmp_path / "preds.csv"
+        code = run("predict", "--model", str(model), "--data", str(data),
+                   "--x-cols", "x1,x2,x3", "--out", str(preds))
+        assert code == EXIT_VALIDATION
+        assert "row 3, column x1" in capsys.readouterr().err
+        assert not preds.exists()
 
 
 class TestExperiment:

@@ -8,8 +8,6 @@ from robustpred.dataio import (
     ModelFormatError,
     RawTable,
     build_lagged,
-    center_apply,
-    center_fit,
     dataset_from_table,
     load_model,
     read_csv,
@@ -114,42 +112,6 @@ class TestBuildLagged:
     def test_too_short(self):
         with pytest.raises(ValueError):
             build_lagged(make_table(nox=[1.0], o3=[2.0]), LagSpec(L=1))
-
-
-class TestCentering:
-    def make_dataset(self, seed=4, n=100):
-        rng = np.random.default_rng(seed)
-        t = make_table(nox=rng.normal(5.0, 2.0, size=n), o3=rng.normal(-3.0, 1.0, size=n))
-        return build_lagged(t, LagSpec(L=2))
-
-    def test_training_columns_centered(self):
-        ds = center_fit(self.make_dataset())
-        assert np.abs(ds.X.mean(0)).max() <= 1e-10
-        assert abs(ds.y.mean()) <= 1e-10
-        assert ds.centered
-
-    def test_idempotent_on_centered_input(self):
-        ds = center_fit(self.make_dataset())
-        again = center_fit(ds)
-        np.testing.assert_allclose(again.X, ds.X, atol=1e-12)
-
-    def test_constant_column(self):
-        t = make_table(a=[2.0, 2.0, 2.0], b=[1.0, 2.0, 3.0], y=[0.0, 1.0, 2.0])
-        ds = dataset_from_table(t, ["a"], ["b"], "y")
-        c = center_fit(ds)
-        assert not np.any(c.X)
-        assert c.x_mean[0] == 2.0
-
-    def test_test_means_shifted_by_training_means_only(self):
-        rng = np.random.default_rng(5)
-        full = self.make_dataset(seed=5, n=1000)
-        train, test = split_chronological(full, fraction=0.7)
-        train_c = center_fit(train)
-        test_c = center_apply(test, train_c)
-        # test means are O(1/sqrt(n)), not exactly zero
-        resid = np.abs(test_c.X.mean(0)).max()
-        assert 0.0 < resid < 0.5
-        np.testing.assert_array_equal(test_c.x_mean, train_c.x_mean)
 
 
 class TestSplitChronological:

@@ -4,6 +4,7 @@ import pytest
 from robustpred.datagen import sample_t
 from robustpred.gate import (
     LogisticGate,
+    _sigmoid,
     OutlierRegion,
     SingleClassError,
     delta_stat,
@@ -85,7 +86,7 @@ class TestFitGate:
         # labels decided by delta > 5 with symmetric noisy margins
         logits = 3.0 * (deltas - 5.0)
         labels = rng.uniform(size=deltas.size) < 1.0 / (1.0 + np.exp(-logits))
-        gate = fit_gate(zip(deltas, labels))
+        gate = fit_gate(deltas, labels)
         assert gate.converged
         assert gate.delta0 == pytest.approx(5.0, abs=0.1)
         assert gate.kappa < 0  # probability increasing in delta
@@ -94,7 +95,7 @@ class TestFitGate:
         rng = np.random.default_rng(3)
         deltas = rng.uniform(0.0, 10.0, size=5000)
         labels = rng.uniform(size=5000) < 0.3
-        gate = fit_gate(zip(deltas, labels))
+        gate = fit_gate(deltas, labels)
         assert abs(gate.b1) < 0.1
         p_mid = prob_outlier(gate, 5.0)
         assert p_mid == pytest.approx(np.mean(labels), abs=0.05)
@@ -106,19 +107,19 @@ class TestFitGate:
         rng = np.random.default_rng(4)
         deltas = rng.uniform(0.0, 8.0, size=500)
         labels = deltas + rng.normal(size=500) > 4.0
-        gate = fit_gate(zip(deltas, labels))
+        gate = fit_gate(deltas, labels)
         assert gate.cross_entropy <= gate_cross_entropy(0.0, 0.0, deltas, labels)
 
     def test_single_class_raises_with_advice(self):
         with pytest.raises(SingleClassError, match="alpha"):
-            fit_gate([(1.0, False), (2.0, False)])
+            fit_gate([1.0, 2.0], [False, False])
         with pytest.raises(SingleClassError):
-            fit_gate([(1.0, True), (2.0, True)])
+            fit_gate([1.0, 2.0], [True, True])
 
     def test_perfect_separation_capped(self):
         deltas = np.concatenate([np.linspace(0, 4, 50), np.linspace(6, 10, 50)])
         labels = deltas > 5.0
-        gate = fit_gate(zip(deltas, labels))
+        gate = fit_gate(deltas, labels)
         assert abs(gate.b0) <= 1e3 + 1e-9
         assert abs(gate.b1) <= 1e3 + 1e-9
         # the capped gate still acts as a sharp threshold around the gap
@@ -127,15 +128,32 @@ class TestFitGate:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            fit_gate([(-1.0, True), (2.0, False)])
+            fit_gate([-1.0, 2.0], [True, False])
 
     def test_convexity_probe(self):
         rng = np.random.default_rng(5)
         deltas = rng.uniform(0.0, 10.0, size=2000)
         labels = rng.uniform(size=2000) < 1.0 / (1.0 + np.exp(-(deltas - 5.0)))
-        gate = fit_gate(zip(deltas, labels))
+        gate = fit_gate(deltas, labels)
         for b0, b1 in rng.uniform(-10.0, 10.0, size=(100, 2)):
             assert gate.cross_entropy <= gate_cross_entropy(b0, b1, deltas, labels) + 1e-9
+
+
+def sigmoid_reference(t):
+    """Masked two-branch sigmoid, each branch evaluated only on its own sign."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    rng = np.random.default_rng(6)
+    t = np.concatenate([rng.normal(size=5000) * s for s in (1.0, 30.0, 1000.0)])
+    t = np.concatenate([t, [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308]])
+    np.testing.assert_array_equal(_sigmoid(t), sigmoid_reference(t))
 
 
 class TestProbOutlier:
