@@ -207,8 +207,12 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, feature_map = dataio.load_model(args.model)
-    merged = _effective_config(args, SCHEMA_DEFAULTS)
-    merged["feature-map"] = feature_map
+    merged = _effective_config(args, {**SCHEMA_DEFAULTS, "feature-map": feature_map})
+    if merged["feature-map"] != feature_map:
+        raise ValidationError(
+            f"--feature-map {merged['feature-map']} does not match the feature map "
+            f"{feature_map} that {args.model} was fitted with"
+        )
     X, Z, y, _ = _load_dataset(merged)
     if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.z_mean.shape[0]:
         raise ShapeError(

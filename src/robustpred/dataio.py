@@ -9,10 +9,12 @@ at full round-trip precision, so load(save(m)) predicts bitwise identically.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gate import LogisticGate, OutlierRegion
 from .predictors import Imputer, LinearPredictor
@@ -21,6 +23,7 @@ from .robust import RobustModel
 MODEL_FORMAT = "robustpred-model"
 MODEL_VERSION = 1
 _GAP_TOKENS = {"", "na", "nan", "null", "none"}
+_WRITE_CHUNK_ROWS = 16384
 
 
 class CsvParseError(ValueError):
@@ -62,13 +65,26 @@ def read_csv(path, date_col: str = None) -> RawTable:
     error naming its data row (1-based) and column.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        # readline keeps fh.tell() usable, so the cell loop can restart at
+        # the first data row when the fast parse gives up
+        reader = csv.reader(iter(fh.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
         numeric_names = [h for h in header if h != date_col]
+        # a date column or a repeated name needs the cell loop
+        if len(set(numeric_names)) == len(header):
+            body_start = fh.tell()
+            values = _parse_numbers(fh, len(header))
+            if values is not None:
+                return RawTable(
+                    names=tuple(header),
+                    columns=dict(zip(header, values.T.copy())),
+                    dates=() if date_col else None,
+                )
+            fh.seek(body_start)
         cols = {name: [] for name in numeric_names}
         dates = [] if date_col else None
         for r, row in enumerate(reader, start=1):
@@ -97,13 +113,51 @@ def read_csv(path, date_col: str = None) -> RawTable:
     )
 
 
+def _parse_numbers(fh, n_cols: int):
+    """The rest of ``fh`` as an (n_lines, n_cols) float array from numpy's C
+    parser, or None when only the cell loop can read it the same way.
+
+    The C parser uses Python's own float syntax but skips blank lines and
+    rejects gap tokens, quotes and underscores, so its result is kept only
+    when it has one row per remaining line of the file.
+    """
+    first = fh.readline()
+    if not first.rstrip("\r\n"):
+        # nothing to parse, or a blank first line (loadtxt would warn)
+        return None
+    n_lines = 0
+
+    def lines():
+        nonlocal n_lines
+        for n_lines, line in enumerate(itertools.chain([first], fh), start=1):
+            yield line
+
+    try:
+        values = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (n_lines, n_cols) else None
+
+
 def write_csv(path, names, columns, dates=None, date_col="date") -> None:
-    """Write columns to CSV with round-trip float precision."""
+    """Write columns to CSV with round-trip float precision.
+
+    Cells are ``fmt_float`` strings, NaN is an empty cell and rows end in
+    the csv module's ``\\r\\n``.
+    """
     names = list(names)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ([date_col] if dates is not None else []) + names
         writer.writerow(header)
+        values = np.column_stack([columns[name] for name in names])
+        if dates is None and values.dtype == np.float64 and not np.isnan(values).any():
+            # "%.17g" % v is fmt_float(v); one % per chunk keeps memory flat
+            row = ",".join(["%.17g"] * len(names)) + "\r\n"
+            for start in range(0, len(values), _WRITE_CHUNK_ROWS):
+                chunk = values[start : start + _WRITE_CHUNK_ROWS]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            return
         n = len(columns[names[0]])
         for i in range(n):
             row = [dates[i]] if dates is not None else []
@@ -181,30 +235,24 @@ def build_lagged(table: RawTable, spec: LagSpec) -> Dataset:
     L = spec.L
     if n < L + 1:
         raise ValueError(f"need at least {L + 1} rows for L={L}, got {n}")
-    rows_x, rows_z, rows_y, kept_dates, dropped = [], [], [], [], 0
-    for t in range(L, n):
-        x = np.concatenate([nox[t - L : t], o3[t - L : t]])
-        z, yv = o3[t], nox[t]
-        if not (np.isfinite(x).all() and np.isfinite(z) and np.isfinite(yv)):
-            dropped += 1
-            continue
-        rows_x.append(x)
-        rows_z.append([z])
-        rows_y.append(yv)
-        if table.dates is not None:
-            kept_dates.append(table.dates[t])
-    if not rows_x:
+    # window i covers days i .. i+L: the L days of x, then the target day
+    day_ok = np.isfinite(nox) & np.isfinite(o3)
+    starts = np.flatnonzero(sliding_window_view(day_ok, L + 1).all(axis=1))
+    if not starts.size:
         raise ValueError("no usable rows: every window contains a gap")
+    t = starts + L
     names = tuple(
         f"{spec.nox_column}_lag{L - i}" for i in range(L)
     ) + tuple(f"{spec.o3_column}_lag{L - i}" for i in range(L))
     return Dataset(
-        X=np.asarray(rows_x),
-        Z=np.asarray(rows_z),
-        y=np.asarray(rows_y),
+        X=np.concatenate(
+            [sliding_window_view(nox, L)[starts], sliding_window_view(o3, L)[starts]], axis=1
+        ),
+        Z=o3[t][:, None],
+        y=nox[t],
         column_names=names + (f"{spec.o3_column}_now", spec.nox_column),
-        dates=tuple(kept_dates) if table.dates is not None else None,
-        n_dropped=dropped,
+        dates=tuple(table.dates[i] for i in t.tolist()) if table.dates is not None else None,
+        n_dropped=n - L - starts.size,
     )
 
 

@@ -159,6 +159,16 @@ class TestEvaluate:
                    "--out", str(tmp_path / "r.csv"))
         assert code == EXIT_VALIDATION
 
+    def test_feature_map_other_than_model_rejected(self, tmp_path, fitted, capsys):
+        out, model = fitted
+        argv = ("evaluate", "--model", str(model), "--data", str(out / "test.csv"), *SCHEMA,
+                "--out", str(tmp_path / "r.csv"))
+        assert run(*argv, "--feature-map", "quadratic") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "quadratic" in err and "none" in err
+        assert not (tmp_path / "r.csv").exists()
+        assert run(*argv, "--feature-map", "none") == EXIT_OK
+
 
 class TestPredict:
     def test_predictions_with_gate_columns(self, tmp_path):

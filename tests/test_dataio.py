@@ -66,6 +66,64 @@ class TestReadCsv:
         assert "date" not in t.columns
 
 
+NAN = float("nan")
+
+
+class TestReadCsvEdgeCases:
+    """Inputs at the border of the fast numeric parse; each gives what the
+    per-cell parse gives."""
+
+    @pytest.mark.parametrize(
+        "text, columns",
+        [
+            ('a,b\n"1.5",2\n', {"a": [1.5], "b": [2.0]}),
+            ("a,b\nNA,none\n3,4\n", {"a": [NAN, 3.0], "b": [NAN, 4.0]}),
+            ("a,b\nnan,NULL\n-inf,1e999\n", {"a": [NAN, -np.inf], "b": [NAN, np.inf]}),
+            ("a\n1_0\n", {"a": [10.0]}),
+            ("a,b\n", {"a": [], "b": []}),
+            ("a,b", {"a": [], "b": []}),
+            ("a,b\r\n1,2\r\n3,4\r\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+            ("a,b\n1,2\n3,4", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+            (" a , b \n 1 ,\t2 \n-0.0,  5e-324\n", {"a": [1.0, -0.0], "b": [2.0, 5e-324]}),
+            ("a\n1\n2\n", {"a": [1.0, 2.0]}),
+        ],
+    )
+    def test_same_arrays_as_cell_parse(self, tmp_path, text, columns):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        t = read_csv(p)
+        assert t.names == tuple(columns) and t.dates is None
+        for name, want in columns.items():
+            got = t.column(name)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n\n", "row 2 has 0 cells, expected 2"),
+            ("a,b\n1,2\n\n3,4\n", "row 2 has 0 cells, expected 2"),
+            ("a,b\r\n1,2\r\n\r\n", "row 2 has 0 cells, expected 2"),
+            ("a,b\n1\n", "row 1 has 1 cells, expected 2"),
+            ("a,b\n1,2\n3\n", "row 2 has 1 cells, expected 2"),
+            ("a,b\n1,2#3\n", "non-numeric cell at row 1, column b"),
+            ("a,b\n#1,2\n", "non-numeric cell at row 1, column a"),
+            ("a\n1\n\n", "row 2 has 0 cells, expected 1"),
+        ],
+    )
+    def test_same_error_as_cell_parse(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+    def test_date_column_absent_from_header(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n")
+        assert read_csv(p, date_col="date").dates == ()
+
+
 class TestBuildLagged:
     def test_hand_construction(self):
         t = make_table(nox=[1.0, 2.0, 3.0], o3=[4.0, 5.0, 6.0])

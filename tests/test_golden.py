@@ -2,8 +2,10 @@
 on small sizes, compared with the files checked into ``tests/golden``.
 
 Headers, names and integer cells must match exactly; floats must agree to a
-relative 1e-12. To regenerate the golden files after an intended change of
-output, run ``PYTHONPATH=src python tests/test_golden.py``.
+relative 1e-12. The CSVs that ``write_csv`` alone produces must match byte
+for byte, which pins its ``%.17g`` digits and ``\r\n`` line ends. To
+regenerate the golden files after an intended change of output, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import math
@@ -18,6 +20,7 @@ FLOAT_RTOL = 1e-12
 # roundoff-level quantities: their size is noise, so only their scale is checked
 ROUNDOFF_KEYS = ("residual",)
 ROUNDOFF_ATOL = 1e-12
+BYTE_EXACT = ("predictions.csv", "sim/test.csv", "sim/train.csv")
 
 _SEPARATORS = re.compile(r"([,=:\s()]+)")
 _INT = re.compile(r"[+-]?\d+")
@@ -84,6 +87,8 @@ def compare_text(got: str, want: str) -> list:
 def test_cli_outputs_match_golden(tmp_path):
     run_pipeline(tmp_path)
     assert _files(tmp_path) == _files(GOLDEN)
+    for name in BYTE_EXACT:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     for name in _files(GOLDEN):
         got = (tmp_path / name).read_bytes().decode()
         want = (GOLDEN / name).read_bytes().decode()

@@ -1,6 +1,12 @@
 """Property tests over random fitted models and rows: the single-row entry
 points agree with their batch rows, adaptive weights stay on the
-optimistic-conservative segment, and the gate fit rejects bad arrays."""
+optimistic-conservative segment, and the gate fit rejects bad arrays. The
+CSV reader, writer and lag builder agree with per-cell and per-window
+reference loops."""
+
+import csv
+import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +14,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from robustpred.dataio import (
+    CsvParseError,
+    LagSpec,
+    RawTable,
+    build_lagged,
+    fmt_float,
+    read_csv,
+    write_csv,
+)
 from robustpred.gate import SingleClassError, fit_gate
 from robustpred.linalg import ShapeError, ValidationError
 from robustpred.predictors import predict
@@ -118,3 +133,168 @@ def test_fit_gate_rejects_misaligned_arrays():
         fit_gate(np.array([1.0, 2.0, 3.0]), np.array([True, False]))
     with pytest.raises(ShapeError):
         fit_gate(np.ones((2, 2)), np.array([[True, False], [False, True]]))
+
+
+# --- CSV and lag features -------------------------------------------------
+
+CHUNK_ROWS = 16384  # rows per formatting chunk of write_csv
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_subnormal=True, width=64),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]),
+)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def float_columns(draw, elements=FLOATS):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    block = draw(arrays(np.float64, (n, k), elements=elements))
+    names = [f"c{j}" for j in range(k)]
+    return names, {name: block[:, j] for j, name in enumerate(names)}
+
+
+@PROPERTY_SETTINGS
+@given(float_columns())
+def test_csv_round_trip_is_bitwise(tmp_path_factory, case):
+    names, columns = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, names, columns)
+    table = read_csv(path)
+    assert table.names == tuple(names)
+    for name in names:
+        np.testing.assert_array_equal(bits(table.column(name)), bits(columns[name]))
+
+
+@PROPERTY_SETTINGS
+@given(float_columns(elements=st.one_of(FLOATS, st.just(np.nan))))
+def test_csv_round_trip_keeps_nan_cells(tmp_path_factory, case):
+    names, columns = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, names, columns)
+    table = read_csv(path)
+    for name in names:
+        got, want = table.column(name), columns[name]
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)
+        np.testing.assert_array_equal(bits(got[keep]), bits(want[keep]))
+
+
+def reference_csv_bytes(names, columns, dates=None, date_col="date"):
+    """csv.writer over fmt_float cells, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(([date_col] if dates is not None else []) + list(names))
+    for i in range(len(columns[names[0]])):
+        row = [dates[i]] if dates is not None else []
+        row += ["" if math.isnan(columns[name][i]) else fmt_float(columns[name][i]) for name in names]
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [5, 2 * CHUNK_ROWS + 5])
+@pytest.mark.parametrize("branch", ["finite", "nan", "dates"])
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+def test_write_csv_bytes_match_reference(tmp_path_factory, n, branch, seed, k):
+    rng = np.random.default_rng(seed)
+    block = rng.standard_t(2.0, size=(n, k)) * 10.0 ** rng.integers(-320, 300, size=(n, k))
+    block[rng.random((n, k)) < 0.01] = -0.0
+    if branch == "nan":
+        block[rng.random((n, k)) < 0.05] = np.nan
+    names = [f"c{j}" for j in range(k)]
+    columns = {name: block[:, j] for j, name in enumerate(names)}
+    dates = tuple(f"day{i}" for i in range(n)) if branch == "dates" else None
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, names, columns, dates=dates)
+    assert path.read_bytes() == reference_csv_bytes(names, columns, dates)
+
+
+def reference_read_csv(path):
+    """The per-cell parse: csv.reader rows, stripped cells, NA-like gaps."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        cols = {name: [] for name in header}
+        for r, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            for name, cell in zip(header, row):
+                cell = cell.strip()
+                if cell.lower() in {"", "na", "nan", "null", "none"}:
+                    cols[name].append(math.nan)
+                    continue
+                try:
+                    cols[name].append(float(cell))
+                except ValueError:
+                    raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
+    return {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+
+
+CELLS = st.sampled_from(
+    ["1", "-2.5e-3", "-0.0", "5e-324", "inf", "-nan", "NaN", "NA", "none", "", " ",
+     " 7 ", "1_0", '"3"', "#", "x", "0x1", "+.5"]
+)
+SEPARATORS = st.sampled_from([",", ",", ",", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c", "\x0b"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["a\n", "a,b\n", "a,b,c\r\n"]),
+    st.lists(st.tuples(CELLS, SEPARATORS), max_size=12),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+def test_read_csv_matches_cell_parse(tmp_path_factory, header, cells, end):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes((header + "".join(c + s for c, s in cells) + end).encode())
+    try:
+        want = reference_read_csv(path)
+    except CsvParseError as exc:
+        with pytest.raises(CsvParseError) as got:
+            read_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    table = read_csv(path)
+    assert table.names == tuple(want)
+    for name, column in want.items():
+        np.testing.assert_array_equal(bits(table.column(name)), bits(column))
+
+
+def reference_build_lagged(nox, o3, dates, L):
+    """One window at a time: keep day t when days t-L .. t are all finite."""
+    rows_x, rows_z, rows_y, kept = [], [], [], []
+    for t in range(L, len(nox)):
+        x = np.concatenate([nox[t - L : t], o3[t - L : t]])
+        if np.isfinite(x).all() and np.isfinite(o3[t]) and np.isfinite(nox[t]):
+            rows_x.append(x)
+            rows_z.append([o3[t]])
+            rows_y.append(nox[t])
+            kept.append(dates[t])
+    return np.asarray(rows_x), np.asarray(rows_z), np.asarray(rows_y), tuple(kept)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 60), st.floats(0.0, 0.3))
+def test_build_lagged_matches_window_loop(seed, L, extra, gap_rate):
+    rng = np.random.default_rng(seed)
+    n = L + 1 + extra
+    nox, o3 = rng.normal(size=n), rng.normal(size=n)
+    nox[rng.random(n) < gap_rate] = np.nan
+    o3[rng.random(n) < gap_rate] = rng.choice([np.nan, np.inf, -np.inf])
+    dates = tuple(f"2020-{i:05d}" for i in range(n))
+    X, Z, y, kept = reference_build_lagged(nox, o3, dates, L)
+    table = RawTable(names=("nox", "o3"), columns={"nox": nox, "o3": o3}, dates=dates)
+    if not len(y):
+        with pytest.raises(ValueError, match="every window contains a gap"):
+            build_lagged(table, LagSpec(L=L))
+        return
+    ds = build_lagged(table, LagSpec(L=L))
+    np.testing.assert_array_equal(bits(ds.X), bits(X))
+    np.testing.assert_array_equal(bits(ds.Z), bits(Z))
+    np.testing.assert_array_equal(bits(ds.y), bits(y))
+    assert ds.X.shape == (len(y), 2 * L) and ds.Z.shape == (len(y), 1)
+    assert ds.dates == kept
+    assert ds.n_dropped == n - L - len(y)
