@@ -58,8 +58,6 @@ from .predictors import (
     fit_imputer,
     fit_optimistic,
     fit_oracle,
-    predict,
-    predict_oracle,
 )
 from .robust import RobustModel, adaptive_weights, fit_robust, outlier_probability, predict_robust
 

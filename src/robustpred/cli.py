@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, evalkit
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
 from .dataio import CsvParseError, LagSpec, ModelFormatError, fmt_float
-from .gate import SingleClassError, is_outlier
+from .gate import SingleClassError
 from .linalg import ShapeError, ValidationError
 from .robust import fit_robust, predict_parts
 
@@ -167,7 +167,7 @@ def cmd_fit(args) -> int:
     dataio.save_model(model, model_path, feature_map=merged["feature-map"])
     _echo_config(model_path.parent, merged)
 
-    n_out = int(np.sum(is_outlier(model.region, Z)))
+    n_out = model.gate.n_outliers
     report = [
         f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(alpha)}",
         f"labels: {n_out} outliers, {X.shape[0] - n_out} inliers",
@@ -197,7 +197,7 @@ def cmd_predict(args) -> int:
         raise CsvParseError(f"{args.data}: missing or non-finite cell at row {r + 1}, column {x_cols[c]}")
     if feature_map == "quadratic":
         X = feature_map_quadratic(X)
-    yhat, p, delta = predict_parts(model, X)
+    yhat, p, delta, _, _ = predict_parts(model, X)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(out, ["prediction", "p_outlier", "delta"], {"prediction": yhat, "p_outlier": p, "delta": delta})
@@ -214,10 +214,10 @@ def cmd_evaluate(args) -> int:
             f"{feature_map} that {args.model} was fitted with"
         )
     X, Z, y, _ = _load_dataset(merged)
-    if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.z_mean.shape[0]:
+    if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.region.q:
         raise ShapeError(
             f"test schema ({X.shape[1]}, {Z.shape[1]}) does not match model "
-            f"dimensions ({model.x_mean.shape[0]}, {model.z_mean.shape[0]})"
+            f"dimensions ({model.x_mean.shape[0]}, {model.region.q})"
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

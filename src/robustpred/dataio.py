@@ -296,11 +296,11 @@ def save_model(model: RobustModel, path, feature_map: str = "none") -> None:
         f"format={MODEL_FORMAT}",
         f"version={MODEL_VERSION}",
         f"feature_map={feature_map}",
-        f"alpha={fmt_float(model.alpha)}",
+        f"alpha={fmt_float(model.region.alpha)}",
         f"d={model.x_mean.shape[0]}",
-        f"q={model.z_mean.shape[0]}",
+        f"q={model.region.q}",
         _vec_line("x_mean", model.x_mean),
-        _vec_line("z_mean", model.z_mean),
+        _vec_line("z_mean", model.region.center),
         f"y_mean={fmt_float(model.y_mean)}",
         _vec_line("w_opt", model.w_opt.weights),
         _vec_line("w_con", model.w_con.weights),
@@ -370,25 +370,23 @@ def load_model(path):
             converged=bool(int(kv.get("gate.converged", "0"))),
         )
         model = RobustModel(
-            w_opt=LinearPredictor(weights=w_opt_w, kind="optimistic", x_mean=x_mean, y_mean=y_mean),
+            w_opt=LinearPredictor(weights=w_opt_w, kind="optimistic"),
             w_con=LinearPredictor(
                 weights=w_con_w,
                 kind="conservative",
-                x_mean=x_mean,
-                y_mean=y_mean,
                 constraint_residual=float(kv.get("w_con_residual", "0")),
                 constraint_infeasible=bool(int(kv.get("w_con_infeasible", "0"))),
             ),
             imputer=Imputer(gmat=gmat),
             region=OutlierRegion(minv=minv, alpha=alpha, center=z_mean),
             gate=gate,
-            alpha=alpha,
             x_mean=x_mean,
-            z_mean=z_mean,
             y_mean=y_mean,
         )
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    if w_opt_w.shape[0] != d or gmat.shape != (q, d):
-        raise ModelFormatError(f"{path}: inconsistent dimensions")
+    stored = {"x_mean": x_mean, "w_opt": w_opt_w, "w_con": w_con_w, "z_mean": z_mean, "gmat": gmat, "minv": minv}
+    for key, shape in (("x_mean", (d,)), ("w_opt", (d,)), ("w_con", (d,)), ("z_mean", (q,)), ("gmat", (q, d)), ("minv", (q, q))):
+        if stored[key].shape != shape:
+            raise ModelFormatError(f"{path}: inconsistent dimensions: {key} has shape {stored[key].shape}, expected {shape}")
     return model, kv.get("feature_map", "none")

@@ -14,8 +14,8 @@ import numpy as np
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
 from .gate import OutlierRegion, is_outlier
 from .linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse
-from .predictors import fit_oracle, predict, predict_oracle
-from .robust import RobustModel, fit_robust, predict_robust
+from .predictors import fit_oracle
+from .robust import RobustModel, fit_robust, predict_parts
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,15 @@ def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
     """Evaluate the optimistic, conservative and robust predictors of a model
     on one test set.
 
-    Each predictor runs once and the tail mask is computed once. Returns
+    One ``predict_parts`` call gives all three predictions and the tail mask
+    is computed once. Returns
     ``(rows, err2)``: rows of (name, EvalReport, delta_in_pct, delta_out_pct)
     with deltas against the optimistic report, and the squared errors per
     predictor name.
     """
     X, Z, y = _aligned(X_test, Z_test, y_test)
-    err2 = {
-        "optimistic": (y - predict(model.w_opt, X)) ** 2,
-        "conservative": (y - predict(model.w_con, X)) ** 2,
-        "robust": (y - predict_robust(model, X)) ** 2,
-    }
+    robust, _, _, opt, con = predict_parts(model, X)
+    err2 = {"optimistic": (y - opt) ** 2, "conservative": (y - con) ** 2, "robust": (y - robust) ** 2}
     out_mask = is_outlier(model.region, Z)
     reports = {name: _split_report(e, out_mask, model.region.alpha) for name, e in err2.items()}
     base = reports["optimistic"]
@@ -229,9 +227,11 @@ def run_mc_experiment(
 
         if want_curves and Z_te.shape[1] == 1:
             if include_oracle:
-                m = accumulate_moments(X_tr - model.x_mean, Z_tr - model.z_mean, y_tr - model.y_mean)
-                oracle = fit_oracle(m, model.x_mean, model.z_mean, model.y_mean)
-                err2["oracle"] = (y_te - predict_oracle(oracle, X_te, Z_te)) ** 2
+                z_mean = model.region.center
+                m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)
+                oracle = fit_oracle(m)
+                pred = (X_te - model.x_mean) @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
+                err2["oracle"] = (y_te - pred) ** 2
             idx = np.digitize(Z_te[:, 0], z_bin_edges) - 1
             valid = (idx >= 0) & (idx < len(centers))
             for name in curve_names:

@@ -19,6 +19,7 @@ from .predictors import Imputer
 MAX_GATE_PARAM = 1e3
 GATE_GRAD_TOL = 1e-8
 GATE_MAX_ITER = 500
+_TINY = np.finfo(float).tiny
 
 
 class SingleClassError(ValueError):
@@ -74,7 +75,7 @@ def delta_stat(region: OutlierRegion, imputer: Imputer, x_centered) -> float | n
     """
     X, unbatch = as_batch(x_centered)
     form = _quadratic_form(imputer.impute(X), region.minv)
-    if np.any(form < -1e-12):
+    if (form < -1e-12).any():
         raise ValidationError("negative Mahalanobis quadratic form; metric not PSD")
     return unbatch(np.sqrt(np.maximum(form, 0.0)))
 
@@ -94,6 +95,7 @@ class LogisticGate:
     cross_entropy: float = float("nan")
     iterations: int = 0
     converged: bool = False
+    n_outliers: int = 0  # training rows labelled outlier; not kept in the model file
 
     @property
     def kappa(self) -> float | None:
@@ -181,6 +183,7 @@ def fit_gate(deltas, labels) -> LogisticGate:
         cross_entropy=ce,
         iterations=it,
         converged=bool(converged),
+        n_outliers=n_pos,
     )
 
 
@@ -188,4 +191,4 @@ def prob_outlier(gate: LogisticGate, delta) -> float | np.ndarray:
     """Gate probability sigmoid(b0 + b1 * delta), always strictly in (0, 1)."""
     deltas, unbatch = as_batch(delta, ndim=1)
     p = _sigmoid(gate.b0 + gate.b1 * deltas)
-    return unbatch(np.minimum(np.maximum(p, np.finfo(float).tiny), 1.0 - 1e-16))
+    return unbatch(np.minimum(np.maximum(p, _TINY), 1.0 - 1e-16))

@@ -143,6 +143,10 @@ def null_space_projector(A, tol: float = DEFAULT_SV_CUTOFF) -> np.ndarray:
         return np.eye(d)
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    if rank == d:
+        # the null space is {0}; I - V V' would hold roundoff that a
+        # relative-cutoff pseudoinverse downstream blows up to O(1)
+        return np.zeros((d, d))
     vr = vt[:rank]
     pi = np.eye(d) - vr.T @ vr
     return (pi + pi.T) / 2.0

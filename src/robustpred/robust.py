@@ -26,7 +26,9 @@ class RobustModel:
 
     All components come from the same training data and alpha; the effective
     weight vector at any x lies on the segment between the optimistic and
-    conservative weights.
+    conservative weights. Each fitted quantity is stored once: the means of x
+    and y here, the mean of z as ``region.center`` and alpha as
+    ``region.alpha``.
     """
 
     w_opt: LinearPredictor
@@ -34,9 +36,7 @@ class RobustModel:
     imputer: Imputer
     region: OutlierRegion
     gate: LogisticGate
-    alpha: float
     x_mean: np.ndarray
-    z_mean: np.ndarray
     y_mean: float
 
 
@@ -68,8 +68,8 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     Xc, Zc, yc = X - x_mean, Z - z_mean, y - y_mean
 
     moments = accumulate_moments(Xc, Zc, yc)
-    w_opt = fit_optimistic(moments, x_mean, y_mean)
-    w_con = fit_conservative(moments, x_mean, y_mean)
+    w_opt = fit_optimistic(moments)
+    w_con = fit_conservative(moments)
     imputer = fit_imputer(moments)
     region = OutlierRegion(minv=pseudoinverse(moments.szz), alpha=alpha, center=z_mean)
 
@@ -81,18 +81,18 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
         imputer=imputer,
         region=region,
         gate=fitted_gate,
-        alpha=alpha,
         x_mean=x_mean,
-        z_mean=z_mean,
         y_mean=y_mean,
     )
 
 
 def predict_parts(model: RobustModel, X) -> tuple:
-    """Prediction, gate probability and delta for an n x d batch of raw x.
+    """Robust prediction, gate probability, delta, and the optimistic and
+    conservative predictions for an n x d batch of raw x.
 
-    Each of delta(x), the gate and the two base predictions is computed once
-    per row; every other prediction entry point reads its result from here.
+    x is centered once, and each of delta(x), the gate and the two base
+    products is computed once per row; every other prediction entry point
+    reads its result from here.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.x_mean.shape[0]:
@@ -102,7 +102,8 @@ def predict_parts(model: RobustModel, X) -> tuple:
     p = prob_outlier(model.gate, delta)
     opt = xc @ model.w_opt.weights
     con = xc @ model.w_con.weights
-    return (1.0 - p) * opt + p * con + model.y_mean, p, delta
+    yhat = (1.0 - p) * opt + p * con + model.y_mean
+    return yhat, p, delta, opt + model.y_mean, con + model.y_mean
 
 
 def outlier_probability(model: RobustModel, x) -> float | np.ndarray:

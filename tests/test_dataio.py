@@ -210,6 +210,15 @@ def fitted_model():
     return fit_robust(X, Z, y, 0.1)
 
 
+@pytest.fixture(scope="module")
+def model_q2():
+    rng = np.random.default_rng(16)
+    Z = rng.standard_t(3.0, size=(400, 2))
+    X = Z @ rng.normal(size=(2, 3)) + rng.normal(size=(400, 3))
+    y = X @ rng.normal(size=3) + Z @ rng.normal(size=2) + 0.1 * rng.normal(size=400)
+    return fit_robust(X, Z, y, 0.2)
+
+
 class TestModelSerialization:
     def test_round_trip_predictions_bitwise(self, tmp_path, fitted_model):
         path = tmp_path / "m.txt"
@@ -246,3 +255,16 @@ class TestModelSerialization:
         save_model(fitted_model, path, feature_map="quadratic")
         _, feature_map = load_model(path)
         assert feature_map == "quadratic"
+
+    @pytest.mark.parametrize("key", ["x_mean", "z_mean", "w_opt", "w_con", "gmat", "minv"])
+    def test_array_of_wrong_length_rejected(self, tmp_path, model_q2, key):
+        # drop the last number of the array (of every row, for a matrix)
+        path = tmp_path / "m.txt"
+        save_model(model_q2, path)
+        lines = [
+            ln.rsplit(" ", 1)[0] if ln.split("=")[0].split(".")[0] == key else ln
+            for ln in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"{key} has shape"):
+            load_model(path)

@@ -90,7 +90,6 @@ class TestRunMcExperiment:
         assert agg["q25"] == agg["median"] == agg["q75"] == agg["mean"]
 
     def test_arithmetic_matches_hand_recomputation(self):
-        from robustpred.predictors import predict
         from robustpred.robust import fit_robust
 
         cfg = SyntheticConfig(n=100, seed=57)
@@ -98,8 +97,8 @@ class TestRunMcExperiment:
         X, Z, y = generate_linear(SyntheticConfig(n=150, seed=cfg.seed + 1))
         Xt, Zt, yt = generate_linear(SyntheticConfig(n=1000, seed=cfg.seed + 2))
         model = fit_robust(X, Z, y, 0.3)
-        rep_o = evaluate(lambda X, Z: predict(model.w_opt, X), Xt, Zt, yt, model.region)
-        rep_c = evaluate(lambda X, Z: predict(model.w_con, X), Xt, Zt, yt, model.region)
+        rep_o = evaluate(lambda X, Z: (X - model.x_mean) @ model.w_opt.weights + model.y_mean, Xt, Zt, yt, model.region)
+        rep_c = evaluate(lambda X, Z: (X - model.x_mean) @ model.w_con.weights + model.y_mean, Xt, Zt, yt, model.region)
         d_in, d_out = delta_percent(rep_c, rep_o)
         row = table.row("conservative")
         assert row.delta_in_runs[0] == pytest.approx(d_in)

@@ -123,6 +123,10 @@ class TestNullSpaceProjector:
     def test_zero_matrix_full_null_space(self):
         np.testing.assert_allclose(null_space_projector(np.zeros((1, 3))), np.eye(3))
 
+    def test_full_column_rank_empty_null_space(self):
+        A = np.array([[-1.01924745, -3.38349986], [-1.49636246, 1.40108064]])
+        assert not np.any(null_space_projector(A))
+
     def test_projector_properties_random(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(1, 4))

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from robustpred.datagen import SyntheticConfig, generate_linear
 from robustpred.linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse, null_space_projector, pseudoinverse
 from robustpred.predictors import (
+    LinearPredictor,
     fit_conservative,
     fit_imputer,
     fit_optimistic,
     fit_oracle,
-    predict,
-    predict_oracle,
 )
+from robustpred.robust import fit_robust, predict_parts
 
 
 def centered_sample(seed, n=200, d=3, q=1, weights=None, noise=0.1):
@@ -89,6 +92,14 @@ class TestFitConservative:
             assert np.max(np.abs(m.szx @ w - m.szy)) <= 1e-10 * (1 + np.abs(m.szy).max())
             assert base <= empirical_mse(m, w) + 1e-10
 
+    def test_square_constraint_solved_exactly(self):
+        # d = q with szx invertible: the constraint alone fixes w
+        X, Z, y = centered_sample(15, q=2, d=2)
+        m = accumulate_moments(X, Z, y)
+        p = fit_conservative(m)
+        np.testing.assert_allclose(p.weights, np.linalg.solve(m.szx, m.szy), rtol=1e-10)
+        assert p.constraint_residual <= 1e-8 * (1.0 + np.max(np.abs(m.szy)))
+
     def test_feasibility_recorded(self):
         X, Z, y = centered_sample(5, q=2, d=4)
         m = accumulate_moments(X, Z, y)
@@ -160,45 +171,44 @@ class TestFitImputer:
             assert abs(indirect - w_opt @ x) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def model():
+    X, Z, y = generate_linear(SyntheticConfig(n=500, seed=14))
+    return fit_robust(X, Z, y, 0.1)
+
+
 class TestPredict:
-    def test_at_training_mean(self):
-        p = fit_optimistic(
-            accumulate_moments(*centered_sample(10)),
-            x_mean=np.array([1.0, 2.0, 3.0]),
-            y_mean=7.5,
+    """The base predictors are bare weights on centered x; their predictions
+    on raw x are the last two outputs of ``robust.predict_parts``."""
+
+    def test_at_training_mean(self, model):
+        parts = predict_parts(model, model.x_mean[None])
+        for k in (0, 3, 4):
+            assert parts[k][0] == model.y_mean
+
+    def test_zero_weights(self, model):
+        zero = dataclasses.replace(model, w_opt=LinearPredictor(weights=np.zeros(3), kind="optimistic"))
+        assert predict_parts(zero, np.array([[100.0, -5.0, 2.0]]))[3][0] == pytest.approx(model.y_mean)
+
+    def test_hand_arithmetic(self, model):
+        hand = dataclasses.replace(
+            model,
+            w_opt=LinearPredictor(weights=np.array([2.0, -1.0, 0.5]), kind="optimistic"),
+            x_mean=np.zeros(3),
+            y_mean=1.0,
         )
-        assert predict(p, np.array([1.0, 2.0, 3.0])) == pytest.approx(7.5)
+        assert predict_parts(hand, np.array([[1.0, 1.0, 2.0]]))[3][0] == pytest.approx(3.0)
 
-    def test_zero_weights(self):
-        from robustpred.predictors import LinearPredictor
-
-        p = LinearPredictor(weights=np.zeros(2), kind="optimistic", y_mean=4.0)
-        assert predict(p, np.array([100.0, -5.0])) == pytest.approx(4.0)
-
-    def test_hand_arithmetic(self):
-        from robustpred.predictors import LinearPredictor
-
-        p = LinearPredictor(
-            weights=np.array([2.0, -1.0]), kind="optimistic",
-            x_mean=np.zeros(2), y_mean=1.0,
-        )
-        assert predict(p, np.array([1.0, 1.0])) == pytest.approx(2.0)
-
-    def test_batch_matches_scalar(self):
-        X, Z, y = centered_sample(11)
-        p = fit_optimistic(accumulate_moments(X, Z, y))
-        batch = predict(p, X[:5])
+    def test_batch_matches_scalar(self, model):
+        X = np.random.default_rng(11).normal(size=(5, 3)) * 3.0
+        _, _, _, opt, con = predict_parts(model, X)
         for i in range(5):
-            assert batch[i] == pytest.approx(predict(p, X[i]))
+            one = predict_parts(model, X[i : i + 1])
+            assert opt[i] == pytest.approx(one[3][0])
+            assert con[i] == pytest.approx(one[4][0])
 
-    def test_dimension_mismatch(self):
-        p = fit_optimistic(accumulate_moments(*centered_sample(12)))
+    def test_dimension_mismatch(self, model):
         with pytest.raises(ShapeError):
-            predict(p, np.zeros(5))
-
-
-def test_predict_oracle_centering():
-    X, Z, y = centered_sample(13)
-    m = accumulate_moments(X, Z, y)
-    o = fit_oracle(m, x_mean=np.ones(3), z_mean=np.ones(1), y_mean=2.0)
-    assert predict_oracle(o, np.ones(3), np.ones(1)) == pytest.approx(2.0)
+            predict_parts(model, np.zeros((1, 5)))
+        with pytest.raises(ShapeError):
+            predict_parts(model, np.zeros(3))

@@ -1,8 +1,9 @@
 """Property tests over random fitted models and rows: the single-row entry
 points agree with their batch rows, adaptive weights stay on the
-optimistic-conservative segment, and the gate fit rejects bad arrays. The
-CSV reader, writer and lag builder agree with per-cell and per-window
-reference loops."""
+optimistic-conservative segment, a saved model loads back bit for bit, and
+the gate fit rejects bad arrays. The moment-only fits keep the paper's
+invariants on random full-rank problems. The CSV reader, writer and lag
+builder agree with per-cell and per-window reference loops."""
 
 import csv
 import io
@@ -20,13 +21,15 @@ from robustpred.dataio import (
     RawTable,
     build_lagged,
     fmt_float,
+    load_model,
     read_csv,
+    save_model,
     write_csv,
 )
 from robustpred.gate import SingleClassError, fit_gate
-from robustpred.linalg import ShapeError, ValidationError
-from robustpred.predictors import predict
-from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_robust
+from robustpred.linalg import ShapeError, ValidationError, accumulate_moments
+from robustpred.predictors import CONSTRAINT_RTOL, fit_conservative, fit_imputer, fit_optimistic, fit_oracle
+from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_parts, predict_robust
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -59,6 +62,10 @@ def assert_rel_close(single, batch_row):
     np.testing.assert_allclose(single, batch_row, rtol=RTOL, atol=0.0)
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 @PROPERTY_SETTINGS
 @given(models_and_rows())
 def test_single_row_equals_batch_row(case):
@@ -67,16 +74,12 @@ def test_single_row_equals_batch_row(case):
         "predict_robust": predict_robust(model, rows),
         "outlier_probability": outlier_probability(model, rows),
         "adaptive_weights": adaptive_weights(model, rows),
-        "predict_opt": predict(model.w_opt, rows),
-        "predict_con": predict(model.w_con, rows),
     }
     for i, row in enumerate(rows):
         single = {
             "predict_robust": predict_robust(model, row),
             "outlier_probability": outlier_probability(model, row),
             "adaptive_weights": adaptive_weights(model, row),
-            "predict_opt": predict(model.w_opt, row),
-            "predict_con": predict(model.w_con, row),
         }
         for name, value in single.items():
             assert isinstance(value, float) or name == "adaptive_weights", name
@@ -98,6 +101,72 @@ def test_adaptive_weights_on_segment(case):
         coef = (w - wo) @ span / span_norm2
         assert -1e-9 <= coef <= 1.0 + 1e-9
         np.testing.assert_allclose(w, wo + coef * span, rtol=0.0, atol=1e-9 * scale)
+
+
+def stored_arrays(model):
+    return {
+        "x_mean": model.x_mean,
+        "y_mean": model.y_mean,
+        "region.center": model.region.center,
+        "region.minv": model.region.minv,
+        "region.alpha": model.region.alpha,
+        "w_opt": model.w_opt.weights,
+        "w_con": model.w_con.weights,
+        "imputer.gmat": model.imputer.gmat,
+        "gate.b0": model.gate.b0,
+        "gate.b1": model.gate.b1,
+    }
+
+
+@PROPERTY_SETTINGS
+@given(models_and_rows())
+def test_model_round_trip_is_bitwise(tmp_path_factory, case):
+    model, rows = case
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(model, path)
+    loaded, _ = load_model(path)
+    want = stored_arrays(model)
+    for name, got in stored_arrays(loaded).items():
+        np.testing.assert_array_equal(bits(got), bits(want[name]), err_msg=name, strict=True)
+    assert loaded.gate.converged == model.gate.converged
+    for k, (got, ref) in enumerate(zip(predict_parts(loaded, rows), predict_parts(model, rows))):
+        np.testing.assert_array_equal(bits(got), bits(ref), err_msg=f"predict_parts output {k}", strict=True)
+
+
+@st.composite
+def full_rank_moments(draw):
+    """Centered second moments of a random sample with q <= d, so that sxx,
+    szz and szx have full rank and the conservative constraint is feasible."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(1, min(d, 2)))
+    n = draw(st.integers(10 * (d + q), 300))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
+    Z = X @ rng.normal(size=(d, q)) + rng.normal(size=(n, q))
+    y = X @ rng.normal(size=d) + Z @ rng.normal(size=q) + 0.1 * rng.normal(size=n)
+    m = accumulate_moments(X - X.mean(0), Z - Z.mean(0), y - y.mean())
+    assume(np.linalg.cond(m.szx) < 1e6)
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(full_rank_moments())
+def test_imputed_oracle_weights_equal_optimistic(m):
+    # criterion 4 in weight form: alpha_w @ x + beta_w @ (G x) = w_opt @ x for every x
+    oracle = fit_oracle(m)
+    w_opt = fit_optimistic(m).weights
+    via_imputer = oracle.alpha_w + fit_imputer(m).gmat.T @ oracle.beta_w
+    np.testing.assert_allclose(via_imputer, w_opt, rtol=0.0, atol=1e-8 * (1.0 + np.abs(w_opt).max()))
+
+
+@PROPERTY_SETTINGS
+@given(full_rank_moments())
+def test_conservative_errors_uncorrelated_with_z(m):
+    con = fit_conservative(m)
+    assert not con.constraint_infeasible
+    residual = np.abs(m.szx @ con.weights - m.szy).max()
+    assert residual <= CONSTRAINT_RTOL * (1.0 + np.abs(m.szy).max())
 
 
 @st.composite
@@ -142,10 +211,6 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_subnormal=True, width=64),
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]),
 )
-
-
-def bits(a):
-    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 @st.composite

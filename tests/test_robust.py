@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from robustpred.datagen import SyntheticConfig, generate_linear
-from robustpred.gate import SingleClassError, prob_outlier
+from robustpred.gate import SingleClassError, is_outlier
 from robustpred.linalg import ShapeError
-from robustpred.predictors import predict
-from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_robust
+from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_parts, predict_robust
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +38,14 @@ class TestFitRobust:
 
     def test_components_share_centering(self, model_and_data):
         model, X, Z, y = model_and_data
-        np.testing.assert_allclose(model.w_opt.x_mean, X.mean(0))
+        np.testing.assert_allclose(model.x_mean, X.mean(0))
         np.testing.assert_allclose(model.region.center, Z.mean(0))
         assert model.y_mean == pytest.approx(y.mean())
+        assert model.region.alpha == 0.1
+
+    def test_gate_counts_training_outliers(self, model_and_data):
+        model, X, Z, y = model_and_data
+        assert model.gate.n_outliers == int(np.sum(is_outlier(model.region, Z)))
 
     def test_warns_on_tiny_sample(self):
         rng = np.random.default_rng(9)
@@ -110,12 +114,17 @@ class TestPredictRobust:
         assert predict_robust(model, model.x_mean) == pytest.approx(model.y_mean)
 
     def test_convex_mix_of_component_predictions(self, model_and_data):
-        model, X, *_ = model_and_data
+        model, *_ = model_and_data
         rng = np.random.default_rng(12)
-        for x in rng.normal(size=(20, 3)) * 2.0:
-            p = outlier_probability(model, x)
-            expected = (1 - p) * predict(model.w_opt, x) + p * predict(model.w_con, x)
-            assert predict_robust(model, x) == pytest.approx(expected, abs=1e-12)
+        X = rng.normal(size=(20, 3)) * 2.0
+        yhat, p, _, opt, con = predict_parts(model, X)
+        Xc = X - model.x_mean
+        # each base prediction is its own centered product plus the mean, bit for bit
+        np.testing.assert_array_equal(opt, Xc @ model.w_opt.weights + model.y_mean)
+        np.testing.assert_array_equal(con, Xc @ model.w_con.weights + model.y_mean)
+        np.testing.assert_allclose(yhat, (1 - p) * opt + p * con, rtol=0.0, atol=1e-12)
+        for i, x in enumerate(X):
+            assert predict_robust(model, x) == pytest.approx(yhat[i], abs=1e-12)
 
     def test_algebraic_identity_with_adaptive_weights(self, model_and_data):
         model, *_ = model_and_data
@@ -135,8 +144,6 @@ class TestPredictRobust:
 def test_conditional_interpolation_qualitative():
     """MC mean over 50 runs: the robust curve sits below the optimistic one in
     the tail region and below the conservative one near z = 0."""
-    from robustpred.predictors import predict as predict_lin
-
     n_runs, n_test = 50, 20000
     sums = {k: np.zeros(2) for k in ("opt", "con", "rob")}  # [near-zero, tail]
     counts = np.zeros(2)
@@ -146,16 +153,11 @@ def test_conditional_interpolation_qualitative():
         X, Z, y = generate_linear(tr)
         model = fit_robust(X, Z, y, 0.1)
         Xt, Zt, yt = generate_linear(te)
-        from robustpred.gate import is_outlier
-
         tail = is_outlier(model.region, Zt)
-        near = np.abs(Zt[:, 0] - model.z_mean[0]) < 0.5
+        near = np.abs(Zt[:, 0] - model.region.center[0]) < 0.5
         masks = np.stack([near, tail])
-        errs = {
-            "opt": (yt - predict_lin(model.w_opt, Xt)) ** 2,
-            "con": (yt - predict_lin(model.w_con, Xt)) ** 2,
-            "rob": (yt - predict_robust(model, Xt)) ** 2,
-        }
+        rob, _, _, opt, con = predict_parts(model, Xt)
+        errs = {"opt": (yt - opt) ** 2, "con": (yt - con) ** 2, "rob": (yt - rob) ** 2}
         for j in range(2):
             if masks[j].any():
                 counts[j] += 1
