@@ -25,7 +25,6 @@ from .dataio import (
 from .evalkit import (
     DeltaTable,
     EvalReport,
-    conditional_mse_curve,
     evaluate,
     excess_mse_check,
     run_mc_experiment,

@@ -2,8 +2,11 @@
 
 Every command is deterministic given its effective configuration, which is
 echoed into the output directory as ``config_effective.txt`` for
-reproducibility. Config files are flat ``key=value`` text; a flag given on
-the command line overrides the file's value, which overrides the default.
+reproducibility. ``build_parser`` declares every setting once: its flag,
+type, choices and default. A ``--config`` file's ``key=value`` lines are read
+by the same subcommand parser as ``--key=value`` flags placed ahead of the
+command line's own, so a flag given on the command line overrides the file's
+value, which overrides the default.
 
 Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,86 +31,61 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# defaults of the dataset-schema flags shared by fit and evaluate
-SCHEMA_DEFAULTS = {"feature-map": "none", "nox-col": "nox", "o3-col": "o3"}
-FIT_KEYS = {
-    "data", "model-out", "alpha", "x-cols", "z-cols", "y-col", "lag", "nox-col",
-    "o3-col", "date-col", "feature-map",
-}
 FEATURE_MAPS = ("none", "quadratic")
+# argparse's bookkeeping is not echoed, and neither are paths, so reruns into
+# another directory stay byte-identical
+_NOT_ECHOED = {"out", "model_out", "data", "config", "func", "parser", "subcommand", "given"}
 
 
-def _read_config_file(path) -> dict:
-    cfg = {}
+def _config_flags(path, parser) -> list:
+    """A config file's ``key=value`` lines as ``--key=value`` flags for the
+    subcommand ``parser``. A key naming a required flag, or ``config``, is an
+    error: the command line always gives those, so the file's value would be
+    ignored."""
+    fixed = {s for a in parser._actions if a.required or a.dest == "config" for s in a.option_strings}
+    flags = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, val = line.partition("=")
+        if not sep:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
-    return cfg
+        flag = f"--{key.strip()}"
+        if flag in fixed:
+            parser.error(f"{path}:{lineno}: {key.strip()} cannot be set in a config file; give {flag} on the command line")
+        flags.append(f"{flag}={val.strip()}")
+    return flags
 
 
-def _effective_config(args, defaults=None) -> dict:
-    """Merge the flags given on the command line over config-file values over
-    ``defaults``. Flags default to None, so None means "not given"."""
-    merged = dict(defaults or {})
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in ("config", "func", "subcommand") or val is None:
-            continue
-        merged[key.replace("_", "-")] = val
-    return merged
+class _StoreGiven(argparse.Action):
+    """argparse's plain store, which also adds the flag's dest to
+    ``namespace.given``: the settings given on the command line or in the
+    config file, as opposed to defaults."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
-def _reject_unknown(merged, known) -> None:
-    unknown = sorted(set(merged) - known)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-
-
-def _echo_config(out_dir: Path, merged: dict) -> None:
-    # path-valued keys are excluded so reruns into another directory stay
-    # byte-identical
+def _echo_config(out_dir: Path, args, keys) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    skip = {"out", "model-out", "data", "model"}
-    lines = [f"{k}={v}" for k, v in sorted(merged.items()) if k not in skip]
+    settings = {k.replace("_", "-"): getattr(args, k) for k in keys if k not in _NOT_ECHOED}
+    lines = [f"{k}={v}" for k, v in sorted(settings.items()) if v is not None]
     (out_dir / "config_effective.txt").write_text("\n".join(lines) + "\n")
 
 
-def _get(merged, key, cast, default):
-    if key in merged and merged[key] is not None:
-        return cast(merged[key])
-    return default
-
-
-def _synthetic_config(merged) -> SyntheticConfig:
-    process = _get(merged, "process", str, "linear")
-    known = {
-        "process", "rho", "nu-z", "nu-u", "noise-x-var", "noise-y-var",
-        "n", "n-test", "n-train", "n-runs", "seed", "alpha", "w1", "w0",
-        "out", "z-bins",
-    }
-    _reject_unknown(merged, known)
-    common = dict(
-        rho=_get(merged, "rho", float, 0.7),
-        nu_z=_get(merged, "nu-z", float, 3.0 if process == "linear" else 5.0),
-        nu_u=_get(merged, "nu-u", float, 3.0 if process == "linear" else 5.0),
-        noise_x_var=_get(merged, "noise-x-var", float, 0.01),
-        noise_y_var=_get(merged, "noise-y-var", float, 0.01),
-        n=_get(merged, "n", int, 1000),
-        seed=_get(merged, "seed", int, 0),
-    )
-    if process == "linear":
-        return SyntheticConfig(**common)
-    if process == "poly":
-        w0 = _get(merged, "w0", float, 1.0)
-        w1 = _get(merged, "w1", float, 0.1)
-        return PolyConfig(wz=(w0, w1), **common)
-    raise ValidationError(f"unknown process {process!r} (expected linear or poly)")
+def _synthetic_config(args) -> SyntheticConfig:
+    """The data process from the flags that were set; the others keep the
+    config dataclass's defaults."""
+    cls = PolyConfig if args.process == "poly" else SyntheticConfig
+    wz = (args.w0, args.w1)
+    if cls is SyntheticConfig and wz != (None, None):
+        raise ValidationError("--w0 and --w1 apply only to --process poly")
+    settings = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    if wz != (None, None):
+        settings["wz"] = tuple(d if w is None else w for w, d in zip(wz, PolyConfig.wz))
+    return cls(**{k: v for k, v in settings.items() if v is not None})
 
 
 def _write_dataset_csv(path, X, Z, y):
@@ -120,56 +99,42 @@ def _write_dataset_csv(path, X, Z, y):
 
 
 def cmd_simulate(args) -> int:
-    merged = _effective_config(args)
-    cfg = _synthetic_config(merged)
+    cfg = _synthetic_config(args)
     out = Path(args.out)
-    _echo_config(out, merged)
+    _echo_config(out, args, args.given)
     gen = generate_poly if isinstance(cfg, PolyConfig) else generate_linear
-    X, Z, y = gen(cfg)
-    Z = np.atleast_2d(Z) if Z.ndim == 2 else Z[:, None]
-    _write_dataset_csv(out / "train.csv", X, Z, y)
-    n_test = _get(merged, "n-test", int, 0)
-    if n_test > 0:
-        from dataclasses import replace
-
-        X, Z, y = gen(replace(cfg, n=n_test, seed=cfg.seed + 1))
-        _write_dataset_csv(out / "test.csv", X, Z, y)
-    print(f"wrote {out / 'train.csv'} ({cfg.n} rows)" + (f" and test.csv ({n_test} rows)" if n_test > 0 else ""))
+    _write_dataset_csv(out / "train.csv", *gen(cfg))
+    if args.n_test > 0:
+        _write_dataset_csv(out / "test.csv", *gen(replace(cfg, n=args.n_test, seed=cfg.seed + 1)))
+    print(f"wrote {out / 'train.csv'} ({cfg.n} rows)" + (f" and test.csv ({args.n_test} rows)" if args.n_test > 0 else ""))
     return EXIT_OK
 
 
-def _load_dataset(merged):
+def _load_dataset(args, feature_map):
     """Read a CSV and assemble (X_raw, Z, y) per the schema settings."""
-    table = dataio.read_csv(merged["data"], date_col=merged.get("date-col"))
-    lag = _get(merged, "lag", int, None)
-    if lag:
-        spec = LagSpec(L=lag, nox_column=merged["nox-col"], o3_column=merged["o3-col"])
-        ds = dataio.build_lagged(table, spec)
+    table = dataio.read_csv(args.data, date_col=args.date_col)
+    if args.lag:
+        ds = dataio.build_lagged(table, LagSpec(L=args.lag, nox_column=args.nox_col, o3_column=args.o3_col))
     else:
-        x_cols, z_cols, y_col = (merged.get(k) for k in ("x-cols", "z-cols", "y-col"))
-        if not (x_cols and z_cols and y_col):
+        if not (args.x_cols and args.z_cols and args.y_col):
             raise ValidationError("--x-cols, --z-cols and --y-col are required without --lag")
-        ds = dataio.dataset_from_table(table, x_cols.split(","), z_cols.split(","), y_col)
-    if merged["feature-map"] not in FEATURE_MAPS:
-        raise ValidationError(f"unknown feature map {merged['feature-map']!r}")
-    X = feature_map_quadratic(ds.X) if merged["feature-map"] == "quadratic" else ds.X
+        ds = dataio.dataset_from_table(table, args.x_cols.split(","), args.z_cols.split(","), args.y_col)
+    X = feature_map_quadratic(ds.X) if feature_map == "quadratic" else ds.X
     return X, ds.Z, ds.y, ds
 
 
 def cmd_fit(args) -> int:
-    merged = _effective_config(args, {**SCHEMA_DEFAULTS, "alpha": 0.1})
-    _reject_unknown(merged, FIT_KEYS)
-    alpha = merged["alpha"] = float(merged["alpha"])
-    X, Z, y, ds = _load_dataset(merged)
-    model = fit_robust(X, Z, y, alpha)
+    X, Z, y, ds = _load_dataset(args, args.feature_map)
+    model = fit_robust(X, Z, y, args.alpha)
     model_path = Path(args.model_out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
-    dataio.save_model(model, model_path, feature_map=merged["feature-map"])
-    _echo_config(model_path.parent, merged)
+    dataio.save_model(model, model_path, feature_map=args.feature_map)
+    # every setting, defaults included: the model file depends on all of them
+    _echo_config(model_path.parent, args, vars(args))
 
     n_out = model.gate.n_outliers
     report = [
-        f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(alpha)}",
+        f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(args.alpha)}",
         f"labels: {n_out} outliers, {X.shape[0] - n_out} inliers",
         f"gate: b0={fmt_float(model.gate.b0)} b1={fmt_float(model.gate.b1)}"
         f" converged={model.gate.converged} cross_entropy={fmt_float(model.gate.cross_entropy)}",
@@ -207,13 +172,12 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, feature_map = dataio.load_model(args.model)
-    merged = _effective_config(args, {**SCHEMA_DEFAULTS, "feature-map": feature_map})
-    if merged["feature-map"] != feature_map:
+    if args.feature_map not in (None, feature_map):
         raise ValidationError(
-            f"--feature-map {merged['feature-map']} does not match the feature map "
+            f"--feature-map {args.feature_map} does not match the feature map "
             f"{feature_map} that {args.model} was fitted with"
         )
-    X, Z, y, _ = _load_dataset(merged)
+    X, Z, y, _ = _load_dataset(args, feature_map)
     if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.region.q:
         raise ShapeError(
             f"test schema ({X.shape[1]}, {Z.shape[1]}) does not match model "
@@ -237,20 +201,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    merged = _effective_config(args)
-    cfg = _synthetic_config(merged)
-    alpha = _get(merged, "alpha", float, 0.1)
-    n_train = _get(merged, "n-train", int, 100)
-    n_test = _get(merged, "n-test", int, 100000)
-    n_runs = _get(merged, "n-runs", int, 50)
-    n_bins = _get(merged, "z-bins", int, 48)
+    cfg = _synthetic_config(args)
     out = Path(args.out)
-    _echo_config(out, merged)
+    _echo_config(out, args, args.given)
 
-    q = 2 if isinstance(cfg, PolyConfig) else 1
-    edges = np.linspace(-12.0, 12.0, n_bins + 1) if q == 1 else None
+    # curves need a scalar z, which the polynomial process does not have
+    edges = None if isinstance(cfg, PolyConfig) else np.linspace(-12.0, 12.0, args.z_bins + 1)
     table, curves = evalkit.run_mc_experiment(
-        cfg, n_train, n_test, n_runs, alpha, z_bin_edges=edges
+        cfg, args.n_train, args.n_test, args.n_runs, args.alpha, z_bin_edges=edges
     )
 
     lines = [
@@ -300,79 +258,87 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--out", required=True, help="output directory or file")
+    def command(name, func, help):
+        # no prefix matching: a config key must name a flag exactly
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.register("action", None, _StoreGiven)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    def config_flag(p):
+        p.add_argument("--config", help="flat key=value config file, keys named like the flags; flags override")
 
     def process_flags(p):
-        p.add_argument("--process", choices=["linear", "poly"], default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--nu-z", type=float, default=None)
-        p.add_argument("--nu-u", type=float, default=None)
-        p.add_argument("--noise-x-var", type=float, default=None)
-        p.add_argument("--noise-y-var", type=float, default=None)
-        p.add_argument("--w0", type=float, default=None, help="linear z weight (poly process)")
-        p.add_argument("--w1", type=float, default=None, help="nonlinearity weight (poly process)")
+        config_flag(p)
+        p.add_argument("--seed", type=int, help="master RNG seed")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--process", choices=["linear", "poly"], default="linear")
+        p.add_argument("--rho", type=float)
+        p.add_argument("--nu-z", type=float)
+        p.add_argument("--nu-u", type=float)
+        p.add_argument("--noise-x-var", type=float)
+        p.add_argument("--noise-y-var", type=float)
+        p.add_argument("--w0", type=float, help="linear z weight (poly process only)")
+        p.add_argument("--w1", type=float, help="nonlinearity weight (poly process only)")
 
     def schema_flags(p):
         p.add_argument("--x-cols", help="comma-separated observable feature columns")
         p.add_argument("--z-cols", help="comma-separated missing feature columns")
         p.add_argument("--y-col", help="outcome column")
-        p.add_argument("--lag", type=int, default=None, help="build 2L lagged features")
-        p.add_argument("--nox-col", help="NOx column for --lag (default: nox)")
-        p.add_argument("--o3-col", help="O3 column for --lag (default: o3)")
-        p.add_argument("--date-col", default=None)
-        p.add_argument("--feature-map", choices=FEATURE_MAPS, help="default: none")
+        p.add_argument("--lag", type=int, help="build 2L lagged features")
+        p.add_argument("--nox-col", default="nox", help="NOx column for --lag")
+        p.add_argument("--o3-col", default="o3", help="O3 column for --lag")
+        p.add_argument("--date-col")
 
-    p = sub.add_parser("simulate", help="write synthetic train/test CSVs")
-    common(p)
+    p = command("simulate", cmd_simulate, "write synthetic train/test CSVs")
     process_flags(p)
-    p.add_argument("--n", type=int, default=None, help="training rows")
-    p.add_argument("--n-test", type=int, default=None, help="test rows (0 = none)")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--n", type=int, default=1000, help="training rows")
+    p.add_argument("--n-test", type=int, default=0, help="test rows (0 = none)")
 
-    p = sub.add_parser("fit", help="fit the robust model from a training CSV")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = command("fit", cmd_fit, "fit the robust model from a training CSV")
+    config_flag(p)
     p.add_argument("--data", required=True, help="training CSV")
     schema_flags(p)
-    p.add_argument("--alpha", type=float, help="tail-region mass (default: 0.1)")
+    p.add_argument("--feature-map", choices=FEATURE_MAPS, default="none")
+    p.add_argument("--alpha", type=float, default=0.1, help="tail-region mass")
     p.add_argument("--model-out", required=True, help="model file path")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="predict from a model and feature CSV")
+    p = command("predict", cmd_predict, "predict from a model and feature CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--x-cols", help="comma-separated feature columns (default: all)")
-    p.add_argument("--date-col", default=None)
+    p.add_argument("--date-col")
     p.add_argument("--out", required=True, help="predictions CSV path")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="evaluate a model on a test CSV")
+    p = command("evaluate", cmd_evaluate, "evaluate a model on a test CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="test CSV")
     schema_flags(p)
+    p.add_argument("--feature-map", choices=FEATURE_MAPS, help="default: the model's; another is an error")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="Monte Carlo comparison of all predictors")
-    common(p)
+    p = command("experiment", cmd_experiment, "Monte Carlo comparison of all predictors")
     process_flags(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--n-runs", type=int, default=None)
-    p.add_argument("--z-bins", type=int, default=None)
-    p.set_defaults(func=cmd_experiment)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--n-train", type=int, default=100)
+    p.add_argument("--n-test", type=int, default=100000)
+    p.add_argument("--n-runs", type=int, default=50)
+    p.add_argument("--z-bins", type=int, default=48)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # argv[0] is the subcommand; its own flags, after the file's, win
+            args = parser.parse_args([args.subcommand, *_config_flags(args.config, args.parser), *argv[1:]])
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     except (ValidationError, ShapeError, CsvParseError, ModelFormatError,
             SingleClassError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

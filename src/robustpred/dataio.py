@@ -340,10 +340,23 @@ def load_model(path):
             kv[key] = val
     if kv.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
-    try:
-        version = int(kv["version"])
-    except (KeyError, ValueError):
-        raise ModelFormatError(f"{path}: missing or invalid version") from None
+
+    def value(key, cast=float, default=None):
+        raw = kv.get(key, default)
+        if raw is None:
+            raise ModelFormatError(f"{path}: missing key {key}")
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ModelFormatError(f"{path}: invalid value for {key}") from None
+
+    def vec(key):
+        return value(key, lambda s: np.asarray([float(t) for t in s.split()], dtype=float))
+
+    def flag(key):
+        return value(key, lambda s: bool(int(s)), default="0")
+
+    version = value("version", int)
     if version != MODEL_VERSION:
         raise ModelFormatError(
             f"{path}: schema version {version} not supported (expected {MODEL_VERSION})"
@@ -351,39 +364,33 @@ def load_model(path):
     if kv.get("end") != "1":
         raise ModelFormatError(f"{path}: file is truncated")
 
-    def vec(key):
-        if key not in kv:
-            raise ModelFormatError(f"{path}: missing key {key}")
-        return np.asarray([float(t) for t in kv[key].split()], dtype=float)
-
+    d, q = value("d", int), value("q", int)
+    alpha = value("alpha")
+    x_mean, z_mean, y_mean = vec("x_mean"), vec("z_mean"), value("y_mean")
+    w_opt_w, w_con_w = vec("w_opt"), vec("w_con")
+    gmat_rows = [vec(f"gmat.{i}") for i in range(q)]
+    minv_rows = [vec(f"minv.{i}") for i in range(q)]
+    residual, infeasible = value("w_con_residual", default="0"), flag("w_con_infeasible")
+    b0, b1, converged = value("gate.b0"), value("gate.b1"), flag("gate.converged")
     try:
-        d, q = int(kv["d"]), int(kv["q"])
-        alpha = float(kv["alpha"])
-        x_mean, z_mean = vec("x_mean"), vec("z_mean")
-        y_mean = float(kv["y_mean"])
-        w_opt_w, w_con_w = vec("w_opt"), vec("w_con")
-        gmat = np.vstack([vec(f"gmat.{i}") for i in range(q)]) if q else np.empty((0, d))
-        minv = np.vstack([vec(f"minv.{i}") for i in range(q)]) if q else np.empty((0, 0))
-        gate = LogisticGate(
-            b0=float(kv["gate.b0"]),
-            b1=float(kv["gate.b1"]),
-            converged=bool(int(kv.get("gate.converged", "0"))),
-        )
+        gmat = np.vstack(gmat_rows) if q else np.empty((0, d))
+        minv = np.vstack(minv_rows) if q else np.empty((0, 0))
         model = RobustModel(
             w_opt=LinearPredictor(weights=w_opt_w, kind="optimistic"),
             w_con=LinearPredictor(
                 weights=w_con_w,
                 kind="conservative",
-                constraint_residual=float(kv.get("w_con_residual", "0")),
-                constraint_infeasible=bool(int(kv.get("w_con_infeasible", "0"))),
+                constraint_residual=residual,
+                constraint_infeasible=infeasible,
             ),
             imputer=Imputer(gmat=gmat),
             region=OutlierRegion(minv=minv, alpha=alpha, center=z_mean),
-            gate=gate,
+            gate=LogisticGate(b0=b0, b1=b1, converged=converged),
             x_mean=x_mean,
             y_mean=y_mean,
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
+        # a model whose parts are inconsistent, such as alpha outside (0, 1]
         raise ModelFormatError(f"{path}: {exc}") from None
     stored = {"x_mean": x_mean, "w_opt": w_opt_w, "w_con": w_con_w, "z_mean": z_mean, "gmat": gmat, "minv": minv}
     for key, shape in (("x_mean", (d,)), ("w_opt", (d,)), ("w_con", (d,)), ("z_mean", (q,)), ("gmat", (q, d)), ("minv", (q, q))):

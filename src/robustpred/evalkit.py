@@ -30,7 +30,6 @@ class EvalReport:
     mse_in: float | None
     n_out: int
     n_in: int
-    alpha: float
 
 
 PREDICTORS = ("optimistic", "conservative", "robust")
@@ -45,7 +44,7 @@ def _aligned(X_test, Z_test, y_test):
     return X, Z, y
 
 
-def _split_report(err2, out_mask, alpha) -> EvalReport:
+def _split_report(err2, out_mask) -> EvalReport:
     n_out = int(out_mask.sum())
     n_in = int(len(err2) - n_out)
     return EvalReport(
@@ -54,7 +53,6 @@ def _split_report(err2, out_mask, alpha) -> EvalReport:
         mse_in=float(err2[~out_mask].mean()) if n_in else None,
         n_out=n_out,
         n_in=n_in,
-        alpha=alpha,
     )
 
 
@@ -67,7 +65,7 @@ def evaluate(predict_fn, X_test, Z_test, y_test, region: OutlierRegion) -> EvalR
     """
     X, Z, y = _aligned(X_test, Z_test, y_test)
     err2 = (y - np.asarray(predict_fn(X, Z), dtype=float).ravel()) ** 2
-    return _split_report(err2, is_outlier(region, Z), region.alpha)
+    return _split_report(err2, is_outlier(region, Z))
 
 
 def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
@@ -84,7 +82,7 @@ def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
     robust, _, _, opt, con = predict_parts(model, X)
     err2 = {"optimistic": (y - opt) ** 2, "conservative": (y - con) ** 2, "robust": (y - robust) ** 2}
     out_mask = is_outlier(model.region, Z)
-    reports = {name: _split_report(e, out_mask, model.region.alpha) for name, e in err2.items()}
+    reports = {name: _split_report(e, out_mask) for name, e in err2.items()}
     base = reports["optimistic"]
     rows = [(name, rep, *delta_percent(rep, base)) for name, rep in reports.items()]
     return rows, err2
@@ -150,28 +148,6 @@ class CurveSet:
     counts: dict  # name -> total rows per bin
 
 
-def conditional_mse_curve(predict_fn, X_test, Z_test, y_test, z_bins):
-    """Bin test rows by a scalar z and average squared errors per bin.
-
-    ``z_bins`` is an array of bin edges or an integer bin count. Returns a
-    list of (bin center, mse or None, count); empty bins keep count 0.
-    """
-    X, Z, y = _aligned(X_test, Z_test, y_test)
-    if Z.ndim != 2 or Z.shape[1] != 1:
-        raise ShapeError("conditional curves are defined for scalar z only")
-    z = Z[:, 0]
-    edges = np.histogram_bin_edges(z, bins=z_bins) if np.ndim(z_bins) == 0 else np.asarray(z_bins, dtype=float)
-    err2 = (y - np.asarray(predict_fn(X, Z), dtype=float).ravel()) ** 2
-    idx = np.digitize(z, edges) - 1
-    rows = []
-    for b in range(len(edges) - 1):
-        mask = idx == b
-        count = int(mask.sum())
-        center = 0.5 * (edges[b] + edges[b + 1])
-        rows.append((float(center), float(err2[mask].mean()) if count else None, count))
-    return rows
-
-
 def _generate(cfg, n, seed):
     cfg = replace(cfg, n=n, seed=seed)
     if isinstance(cfg, PolyConfig):
@@ -191,7 +167,8 @@ def run_mc_experiment(
     include_oracle: bool = True,
 ):
     """Monte Carlo comparison of the three predictors against the optimistic
-    baseline, with optional conditional-MSE curve accumulation.
+    baseline, with optional conditional-MSE curve accumulation over
+    ``z_bin_edges`` (scalar z only, so not for the polynomial process).
 
     Each run derives its own seeds from the config's master seed (train seed
     = master + 2*i + 1, test seed = master + 2*i + 2) so runs are independent
@@ -207,6 +184,8 @@ def run_mc_experiment(
     want_curves = z_bin_edges is not None
     sq_sums = counts = centers = None
     if want_curves:
+        if isinstance(cfg, PolyConfig):
+            raise ShapeError("conditional curves are defined for scalar z only")
         z_bin_edges = np.asarray(z_bin_edges, dtype=float)
         centers = 0.5 * (z_bin_edges[:-1] + z_bin_edges[1:])
         sq_sums = {name: np.zeros(len(centers)) for name in curve_names}
@@ -225,7 +204,7 @@ def run_mc_experiment(
             deltas[name][0].append(d_in)
             deltas[name][1].append(d_out)
 
-        if want_curves and Z_te.shape[1] == 1:
+        if want_curves:
             if include_oracle:
                 z_mean = model.region.center
                 m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)

@@ -50,6 +50,40 @@ class TestSimulate:
         code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("line", ["alpha=0.3", "z-bins=7", "n-runs=9"])
+    def test_experiment_key_rejected(self, tmp_path, capsys, line):
+        # settings of experiment, which simulate would not use
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_VALIDATION
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,line",
+        [("simulate", "out=elsewhere"), ("simulate", "config=other.cfg"),
+         ("fit", "data=other.csv"), ("fit", "model-out=other.txt")],
+    )
+    def test_command_line_only_key_rejected(self, tmp_path, capsys, command, line):
+        # the command line always gives these, so a file value would be ignored
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        paths = {"simulate": ("--out", str(out)),
+                 "fit": ("--data", str(tmp_path / "train.csv"), "--model-out", str(out / "m.txt"))}
+        assert run(command, "--config", str(cfg), *paths[command]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"c.cfg:1: {line.split('=')[0]} cannot be set in a config file" in err
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("key", ["w0", "w1"])
+    def test_poly_weight_rejected_for_linear_process(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}=5\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_VALIDATION
+        assert "--process poly" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFit:
     def test_fit_report_and_model(self, tmp_path, capsys):
@@ -237,6 +271,30 @@ class TestExperiment:
                    "--out", str(tmp_path / "e")) == EXIT_OK
         echoed = (tmp_path / "e" / "config_effective.txt").read_text()
         assert "rho=0.7" in echoed
+
+    def test_simulate_key_n_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=500\n")
+        assert run("experiment", "--config", str(cfg), "--n-runs", "1", "--n-test", "100",
+                   "--out", str(tmp_path / "e")) == EXIT_VALIDATION
+        assert "--n=500" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_prefix_of_a_flag_rejected(self, tmp_path, capsys):
+        # argparse would take "alph" for "alpha" by prefix matching
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("alph=0.5\n")
+        base = ("experiment", "--n-runs", "1", "--n-test", "100", "--out", str(tmp_path / "e"))
+        for extra in (("--config", str(cfg)), ("--alph", "0.5")):
+            assert run(*base, *extra) == EXIT_VALIDATION
+            assert "--alph" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_unparsable_config_value_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("alpha=abc\n")
+        assert run("experiment", "--config", str(cfg), "--out", str(tmp_path / "e")) == EXIT_VALIDATION
+        assert "--alpha" in capsys.readouterr().err
 
 
 class TestLaggedPipeline:

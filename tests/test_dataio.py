@@ -256,6 +256,20 @@ class TestModelSerialization:
         _, feature_map = load_model(path)
         assert feature_map == "quadratic"
 
+    @pytest.mark.parametrize("key, value", [("x_mean", None), ("y_mean", None), ("gate.b0", None), ("d", "x")])
+    def test_bad_key_named_once(self, tmp_path, fitted_model, key, value):
+        # value None drops the key's line, any other value replaces it
+        path = tmp_path / "m.txt"
+        save_model(fitted_model, path)
+        lines = [ln for ln in path.read_text().splitlines() if ln.split("=")[0] != key]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        error = "missing key" if value is None else "invalid value for"
+        assert str(exc.value) == f"{path}: {error} {key}"
+
     @pytest.mark.parametrize("key", ["x_mean", "z_mean", "w_opt", "w_con", "gmat", "minv"])
     def test_array_of_wrong_length_rejected(self, tmp_path, model_q2, key):
         # drop the last number of the array (of every row, for a matrix)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from robustpred.datagen import SyntheticConfig, generate_linear
+from robustpred.datagen import PolyConfig, SyntheticConfig, generate_linear
 from robustpred.evalkit import (
-    conditional_mse_curve,
     delta_percent,
     evaluate,
     excess_mse_check,
@@ -120,26 +119,29 @@ class TestRunMcExperiment:
 
 class TestConditionalMseCurve:
     def test_single_bin_reproduces_overall_mse(self):
-        rng = np.random.default_rng(5)
-        X, Z = rng.normal(size=(200, 2)), rng.normal(size=(200, 1))
-        y = rng.normal(size=200)
-        fn = lambda X, Z: X[:, 0]
-        edges = np.array([Z.min() - 1, Z.max() + 1])
-        rows = conditional_mse_curve(fn, X, Z, y, edges)
-        assert len(rows) == 1
-        assert rows[0][1] == pytest.approx(np.mean((y - X[:, 0]) ** 2))
-        assert rows[0][2] == 200
+        from robustpred.robust import fit_robust, predict_robust
+
+        cfg = SyntheticConfig(n=100, seed=62)
+        _, curves = run_mc_experiment(cfg, 300, 2000, 1, 0.2, z_bin_edges=np.array([-1e9, 1e9]))
+        X, Z, y = generate_linear(SyntheticConfig(n=300, seed=cfg.seed + 1))
+        Xt, _, yt = generate_linear(SyntheticConfig(n=2000, seed=cfg.seed + 2))
+        model = fit_robust(X, Z, y, 0.2)
+        assert curves.centers.tolist() == [0.0]
+        assert curves.counts["robust"].tolist() == [2000]
+        assert curves.mse["robust"][0] == pytest.approx(np.mean((yt - predict_robust(model, Xt)) ** 2), rel=1e-12)
 
     def test_empty_bins(self):
-        X = np.zeros((2, 1))
-        Z = np.array([[0.5], [2.5]])
-        y = np.zeros(2)
-        rows = conditional_mse_curve(lambda X, Z: np.zeros(2), X, Z, y, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert rows[1] == (1.5, None, 0)
+        cfg = SyntheticConfig(n=100, seed=63)
+        edges = np.array([-1e9, -1e8, 1e8, 1e9])
+        _, curves = run_mc_experiment(cfg, 200, 500, 2, 0.2, z_bin_edges=edges)
+        for name in ("optimistic", "conservative", "robust", "oracle"):
+            assert curves.counts[name].tolist() == [0, 1000, 0]
+            assert np.isnan(curves.mse[name][[0, 2]]).all()
+            assert np.isfinite(curves.mse[name][1])
 
     def test_vector_z_unsupported(self):
-        with pytest.raises(ShapeError):
-            conditional_mse_curve(lambda X, Z: np.zeros(2), np.zeros((2, 1)), np.zeros((2, 2)), np.zeros(2), 3)
+        with pytest.raises(ShapeError, match="scalar z"):
+            run_mc_experiment(PolyConfig(n=100, seed=64), 200, 500, 1, 0.2, z_bin_edges=np.linspace(-3, 3, 4))
 
     def test_oracle_curve_lower_bound_in_tails(self):
         cfg = SyntheticConfig(n=100, seed=60)
