@@ -9,8 +9,10 @@ at full round-trip precision, so load(save(m)) predicts bitwise identically.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +25,15 @@ from .robust import RobustModel
 MODEL_FORMAT = "robustpred-model"
 MODEL_VERSION = 1
 _GAP_TOKENS = {"", "na", "nan", "null", "none"}
+# A gap cell with the comma or line break before it: empty next to a comma,
+# blank, or a gap token in any ASCII case with spaces or tabs around it. A
+# blank line is no cell at all.
+_GAP_CELL = re.compile(
+    r"([,\r\n])(?:[ \t]*(?:{})[ \t]*|[ \t]+|(?<=,)|(?=,))(?=[,\r\n]|\Z)".format(
+        "|".join(sorted(t for t in _GAP_TOKENS if t))
+    ),
+    re.IGNORECASE | re.ASCII,
+)
 _WRITE_CHUNK_ROWS = 16384
 
 
@@ -78,6 +89,13 @@ def read_csv(path, date_col: str = None) -> RawTable:
         if len(set(numeric_names)) == len(header):
             body_start = fh.tell()
             values = _parse_numbers(fh, len(header))
+            if values is None:
+                # gap cells are the usual reason: spell each one "nan",
+                # which the C parser reads as the same NaN, and parse again
+                fh.seek(body_start)
+                body, n_gaps = _spell_gaps(fh.read())
+                if n_gaps:
+                    values = _parse_numbers(io.StringIO(body, newline=""), len(header))
             if values is not None:
                 return RawTable(
                     names=tuple(header),
@@ -111,6 +129,13 @@ def read_csv(path, date_col: str = None) -> RawTable:
         columns={k: np.asarray(v, dtype=float) for k, v in cols.items()},
         dates=tuple(dates) if dates is not None else None,
     )
+
+
+def _spell_gaps(body: str):
+    """``body`` with each gap cell spelled "nan", and the number of gaps."""
+    # the "\n" in front gives the first cell a line break before it
+    spelled, n_gaps = _GAP_CELL.subn(r"\1nan", "\n" + body)
+    return spelled[1:], n_gaps
 
 
 def _parse_numbers(fh, n_cols: int):

@@ -127,8 +127,6 @@ class DeltaRow:
 @dataclass(frozen=True)
 class DeltaTable:
     rows: tuple
-    alpha: float
-    n_runs: int
     failed_runs: tuple = ()
 
     def row(self, name: str) -> DeltaRow:
@@ -228,7 +226,7 @@ def run_mc_experiment(
         )
         for name in PREDICTORS
     )
-    table = DeltaTable(rows=rows, alpha=alpha, n_runs=n_runs, failed_runs=tuple(failed))
+    table = DeltaTable(rows=rows, failed_runs=tuple(failed))
     curves = None
     if want_curves:
         mse = {

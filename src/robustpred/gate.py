@@ -9,6 +9,7 @@ Mahalanobis norm of the regression-imputed z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +113,64 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _gate_terms(b0: float, b1: float, deltas: np.ndarray, labels: np.ndarray) -> tuple:
+    """Logit t = b0 + b1 * delta, e = exp(-|t|), and the mean cross-entropy.
+
+    ``labels`` is a boolean mask. Per row the loss is softplus(t) - y * t,
+    with softplus(t) = max(t, 0) + log1p(e) computed stably; the Newton step
+    reads the sigmoid and its derivative from the same t and e.
+    """
+    t = deltas * b1
+    t += b0
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    loss = np.log1p(e)
+    loss += np.maximum(t, 0.0)
+    # per-row subtraction before the sum keeps the rounding of the mean small
+    np.subtract(loss, t, out=loss, where=labels)
+    return t, e, float(np.mean(loss))
+
+
 def gate_cross_entropy(b0: float, b1: float, deltas, labels) -> float:
-    """Mean binary cross-entropy of the gate on (delta, label) pairs."""
-    t = b0 + b1 * np.asarray(deltas, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    # log(1 + exp(t)) computed stably; CE = mean(softplus(t) - y * t)
-    softplus = np.logaddexp(0.0, t)
-    return float(np.mean(softplus - y * t))
+    """Mean binary cross-entropy of the gate on (delta, label) pairs; labels
+    are read as booleans, as ``fit_gate`` reads them."""
+    deltas = np.asarray(deltas, dtype=float)
+    return _gate_terms(b0, b1, deltas, np.asarray(labels, dtype=bool))[2]
+
+
+def _gradient_and_hessian(t, e, deltas, labels) -> tuple:
+    """Mean gradient and 2 x 2 Hessian of the cross-entropy in (b0, b1), from
+    the logit t and e = exp(-|t|) of the current parameters."""
+    n = len(t)
+    s = 1.0 + e
+    np.reciprocal(s, out=s)
+    r = e * s  # sigmoid(t) where t < 0
+    np.copyto(r, s, where=t >= 0.0)  # sigmoid(t) where t >= 0
+    r[labels] -= 1.0  # residual p - y
+    grad = (r.sum() / n, (deltas @ r) / n)
+    w = np.multiply(e, s, out=r)
+    w *= s  # p (1 - p) = e / (1 + e)^2
+    np.maximum(w, 1e-12, out=w)
+    h00, h01 = w.sum() / n, (w @ deltas) / n
+    w *= deltas
+    return grad, (h00, h01, (w @ deltas) / n)
+
+
+def _newton_step(grad, hess, constant_delta: bool) -> tuple:
+    """Solve hess @ step = grad for the symmetric 2 x 2 Hessian.
+
+    The Hessian is a positive mix of (1, delta)(1, delta)', so it is singular
+    exactly when every delta is equal, and then of rank one: H = lam v v'
+    with lam = trace(H). Its minimum-norm solution is H g / lam^2, the step a
+    least-squares solve returns.
+    """
+    (g0, g1), (h00, h01, h11) = grad, hess
+    det = h00 * h11 - h01 * h01
+    if constant_delta or not det > 0.0:
+        lam2 = (h00 + h11) ** 2
+        return (h00 * g0 + h01 * g1) / lam2, (h01 * g0 + h11 * g1) / lam2
+    return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h01 * g0) / det
 
 
 def fit_gate(deltas, labels) -> LogisticGate:
@@ -131,55 +183,51 @@ def fit_gate(deltas, labels) -> LogisticGate:
     magnitude 1e3 and the gate marked not converged.
     """
     deltas = np.asarray(deltas, dtype=float)
-    labels = np.asarray(labels, dtype=bool).astype(float)
+    labels = np.asarray(labels, dtype=bool)
     if deltas.ndim != 1 or deltas.shape != labels.shape:
         raise ShapeError("deltas and labels must be 1-D arrays of equal length")
     if not np.all(np.isfinite(deltas)) or np.any(deltas < 0):
         raise ValidationError("deltas must be finite and nonnegative")
-    n_pos = int(labels.sum())
+    n_pos = int(np.count_nonzero(labels))
     if n_pos == 0 or n_pos == len(labels):
         raise SingleClassError(
             "outlier labels are single-class; increase alpha so the training "
             "sample contains both inliers and outliers"
         )
 
-    design = np.column_stack([np.ones_like(deltas), deltas])
-    b = np.zeros(2)
-    ce = gate_cross_entropy(b[0], b[1], deltas, labels)
+    constant_delta = bool(deltas.min() == deltas.max())
+    b0 = b1 = 0.0
+    t, e, ce = _gate_terms(b0, b1, deltas, labels)
     converged = False
     it = 0
     for it in range(1, GATE_MAX_ITER + 1):
-        p = _sigmoid(design @ b)
-        grad = design.T @ (p - labels) / len(labels)
-        if np.linalg.norm(grad) <= GATE_GRAD_TOL:
+        grad, hess = _gradient_and_hessian(t, e, deltas, labels)
+        grad_norm = math.hypot(*grad)
+        if grad_norm <= GATE_GRAD_TOL:
             converged = True
             break
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        hess = design.T @ (design * w[:, None]) / len(labels)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step0, step1 = _newton_step(grad, hess, constant_delta)
         # step halving: accept the first step that does not increase the loss
         scale = 1.0
         for _ in range(50):
-            cand = b - scale * step
-            ce_cand = gate_cross_entropy(cand[0], cand[1], deltas, labels)
+            c0, c1 = b0 - scale * step0, b1 - scale * step1
+            t_cand, e_cand, ce_cand = _gate_terms(c0, c1, deltas, labels)
             if ce_cand <= ce:
-                b, ce = cand, ce_cand
+                b0, b1, t, e, ce = c0, c1, t_cand, e_cand, ce_cand
                 break
             scale *= 0.5
         else:
-            converged = np.linalg.norm(grad) <= 1e-6
+            converged = grad_norm <= 1e-6
             break
-        if np.max(np.abs(b)) > MAX_GATE_PARAM:
-            b = np.clip(b, -MAX_GATE_PARAM, MAX_GATE_PARAM)
-            ce = gate_cross_entropy(b[0], b[1], deltas, labels)
+        if max(abs(b0), abs(b1)) > MAX_GATE_PARAM:
+            b0 = min(max(b0, -MAX_GATE_PARAM), MAX_GATE_PARAM)
+            b1 = min(max(b1, -MAX_GATE_PARAM), MAX_GATE_PARAM)
+            ce = _gate_terms(b0, b1, deltas, labels)[2]
             converged = False
             break
     return LogisticGate(
-        b0=float(b[0]),
-        b1=float(b[1]),
+        b0=float(b0),
+        b1=float(b1),
         cross_entropy=ce,
         iterations=it,
         converged=bool(converged),

@@ -65,15 +65,17 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     x_mean = X.mean(axis=0)
     z_mean = Z.mean(axis=0)
     y_mean = float(y.mean())
-    Xc, Zc, yc = X - x_mean, Z - z_mean, y - y_mean
+    Xc = X - x_mean
 
-    moments = accumulate_moments(Xc, Zc, yc)
+    moments = accumulate_moments(Xc, Z - z_mean, y - y_mean)
     w_opt = fit_optimistic(moments)
     w_con = fit_conservative(moments)
     imputer = fit_imputer(moments)
     region = OutlierRegion(minv=pseudoinverse(moments.szz), alpha=alpha, center=z_mean)
 
-    fitted_gate = fit_gate(delta_stat(region, imputer, Xc), is_outlier(region, Z))
+    deltas = delta_stat(region, imputer, Xc)
+    del Xc  # the gate needs only delta and the labels; free the centered copy first
+    fitted_gate = fit_gate(deltas, is_outlier(region, Z))
 
     return RobustModel(
         w_opt=w_opt,

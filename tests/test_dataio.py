@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robustpred import dataio
 from robustpred.datagen import SyntheticConfig, generate_linear
 from robustpred.dataio import (
     CsvParseError,
@@ -117,6 +118,42 @@ class TestReadCsvEdgeCases:
         with pytest.raises(CsvParseError) as exc:
             read_csv(p)
         assert str(exc.value) == f"{p}: {message}"
+
+    def test_gaps_read_by_the_fast_parse(self, tmp_path, monkeypatch):
+        # scattered gaps in every spelling: the second C parse reads the file
+        parsed = []
+
+        def parse_numbers(fh, n_cols):
+            parsed.append(real(fh, n_cols))
+            return parsed[-1]
+
+        real = dataio._parse_numbers
+        monkeypatch.setattr(dataio, "_parse_numbers", parse_numbers)
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\r\n1,2\r\n3,\r\n,6\r\n NA ,8\r\n9,null\r\n\tNone,-0.0\r\n11,nan")
+        t = read_csv(p)
+        assert [v is None for v in parsed] == [True, False]
+        want = {"a": [1, 3, NAN, NAN, 9, NAN, 11], "b": [2, NAN, 6, 8, NAN, -0.0, NAN]}
+        for name, column in want.items():
+            got = t.column(name)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), np.asarray(column, float).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "body, spelled",
+        [
+            ("1,\n,2\n,\n", "1,nan\nnan,2\nnan,nan\n"),
+            ("1\n\n \n\t\n", "1\n\nnan\nnan\n"),  # a blank line is no cell
+            ("NA\r\nnOnE\rNull,nan\r", "nan\r\nnan\rnan,nan\r"),
+            (' na ,"",NULLx,n a, NA\t,\n', 'nan,"",NULLx,n a,nan,nan\n'),
+            ("1,2", "1,2"),
+            ("1,", "1,nan"),
+            (",", "nan,nan"),
+            ("", ""),
+        ],
+    )
+    def test_gap_cells_spelled_nan(self, body, spelled):
+        assert dataio._spell_gaps(body)[0] == spelled
 
     def test_date_column_absent_from_header(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -1,8 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from robustpred.datagen import sample_t
 from robustpred.gate import (
+    GATE_GRAD_TOL,
+    GATE_MAX_ITER,
+    MAX_GATE_PARAM,
     LogisticGate,
     _sigmoid,
     OutlierRegion,
@@ -137,6 +144,163 @@ class TestFitGate:
         gate = fit_gate(deltas, labels)
         for b0, b1 in rng.uniform(-10.0, 10.0, size=(100, 2)):
             assert gate.cross_entropy <= gate_cross_entropy(b0, b1, deltas, labels) + 1e-9
+
+
+def reference_fit_gate(deltas, labels) -> LogisticGate:
+    """The Newton loop written with a 2-column design matrix, ``np.linalg.solve``
+    (``lstsq`` when it raises) and ``np.logaddexp``: the reference that the
+    closed-form fit must follow step for step."""
+    deltas = np.asarray(deltas, dtype=float)
+    labels = np.asarray(labels, dtype=bool).astype(float)
+
+    def cross_entropy(b):
+        t = b[0] + b[1] * deltas
+        return float(np.mean(np.logaddexp(0.0, t) - labels * t))
+
+    design = np.column_stack([np.ones_like(deltas), deltas])
+    b = np.zeros(2)
+    ce = cross_entropy(b)
+    converged = False
+    it = 0
+    for it in range(1, GATE_MAX_ITER + 1):
+        p = _sigmoid(design @ b)
+        grad = design.T @ (p - labels) / len(labels)
+        if np.linalg.norm(grad) <= GATE_GRAD_TOL:
+            converged = True
+            break
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        hess = design.T @ (design * w[:, None]) / len(labels)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        scale = 1.0
+        for _ in range(50):
+            cand = b - scale * step
+            ce_cand = cross_entropy(cand)
+            if ce_cand <= ce:
+                b, ce = cand, ce_cand
+                break
+            scale *= 0.5
+        else:
+            converged = np.linalg.norm(grad) <= 1e-6
+            break
+        if np.max(np.abs(b)) > MAX_GATE_PARAM:
+            b = np.clip(b, -MAX_GATE_PARAM, MAX_GATE_PARAM)
+            ce = cross_entropy(b)
+            converged = False
+            break
+    return LogisticGate(b0=b[0], b1=b[1], cross_entropy=ce, iterations=it, converged=converged)
+
+
+@st.composite
+def gate_samples(draw, heavy=False):
+    """delta on the scale the gate sees (a Mahalanobis norm of a few units:
+    uniform on [0, s], or |t(3)| times s when ``heavy``) and labels with both
+    classes: a constant rate, a logistic trend, a threshold with a few flipped
+    labels, or a clean threshold (separable)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 2000))
+    scale = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    pattern = draw(st.sampled_from(["rate", "logistic", "near_separable", "separable"]))
+    rng = np.random.default_rng(seed)
+    deltas = scale * (np.abs(rng.standard_t(3.0, size=n)) if heavy else rng.uniform(size=n))
+    if pattern == "rate":
+        labels = rng.uniform(size=n) < rng.uniform(0.01, 0.99)
+    elif pattern == "logistic":
+        slope = rng.normal(scale=3.0 / scale)
+        labels = rng.uniform(size=n) < _sigmoid(slope * (deltas - np.median(deltas)))
+    else:
+        labels = deltas > np.quantile(deltas, rng.uniform(0.1, 0.9))
+        if pattern == "near_separable":
+            labels ^= rng.uniform(size=n) < 0.02
+    assume(0 < labels.sum() < n)
+    return deltas, labels
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_samples())
+def test_fit_gate_follows_reference_newton(sample):
+    # step for step on delta <= 3; see the heavy-tailed property for beyond
+    deltas, labels = sample
+    want = reference_fit_gate(deltas, labels)
+    got = fit_gate(deltas, labels)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    if max(abs(want.b0), abs(want.b1)) == MAX_GATE_PARAM:
+        # a separated sample ends at the cap; the loss there has a slope of
+        # order |delta| in the free parameter, so only the stop is compared
+        assert max(abs(got.b0), abs(got.b1)) == MAX_GATE_PARAM
+        return
+    assert abs(got.cross_entropy - want.cross_entropy) <= 1e-12
+    np.testing.assert_allclose([got.b0, got.b1], [want.b0, want.b1], rtol=1e-8, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_samples(heavy=True))
+def test_fit_gate_matches_reference_loss_on_heavy_tails(sample):
+    # far out in the tail the last steps can fall where the loss cannot
+    # resolve the decrease, so a one-ulp difference may flip one accept/reject
+    # of the line search; the fit must still converge whenever the reference
+    # does, at no worse a loss
+    deltas, labels = sample
+    want = reference_fit_gate(deltas, labels)
+    got = fit_gate(deltas, labels)
+    if max(abs(want.b0), abs(want.b1)) == MAX_GATE_PARAM:
+        assert max(abs(got.b0), abs(got.b1)) == MAX_GATE_PARAM
+        assert not got.converged
+        return
+    assert got.converged or not want.converged
+    assert got.cross_entropy <= want.cross_entropy + 1e-12
+
+
+def test_flat_optimum_on_heavy_tails_converges():
+    # a weak trend on |t(3)| deltas: the reference line search accepts only
+    # tiny steps once the loss stops resolving the decrease, and runs to
+    # GATE_MAX_ITER; the fit stops in 4 steps at the same loss
+    rng = np.random.default_rng(110)
+    deltas = 3.0 * np.abs(rng.standard_t(3.0, size=110))
+    slope = rng.normal(scale=1.0)
+    labels = rng.uniform(size=110) < _sigmoid(slope * (deltas - np.median(deltas)))
+    want = reference_fit_gate(deltas, labels)
+    got = fit_gate(deltas, labels)
+    assert (want.iterations, want.converged) == (GATE_MAX_ITER, False)
+    assert (got.iterations, got.converged) == (4, True)
+    assert abs(got.cross_entropy - want.cross_entropy) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "value, n, n_pos, b0, b1",
+    [
+        (0.0, 5, 1, -1.3862943609145955, 0.0),
+        (0.0, 1000, 137, -1.8404337652552778, 0.0),
+        (1.0, 10, 3, -0.4236489301936017, -0.42364893019360167),
+        (1.0, 1000, 137, -0.9202168826276387, -0.9202168826276388),
+        (7.123456789, 5, 1, -0.026791591224407642, -0.19084874239561953),
+        (100.0, 5, 1, -0.00013861557453400606, -0.013861557453400614),
+    ],
+)
+def test_constant_delta_takes_minimum_norm_steps(value, n, n_pos, b0, b1):
+    # the Hessian is singular at every step; (b0, b1) are those of the
+    # reference loop, whose solve raised at every step on these samples
+    labels = np.arange(n) < n_pos
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = fit_gate(np.full(n, value), labels)
+    assert gate.converged
+    np.testing.assert_allclose([gate.b0, gate.b1], [b0, b1], rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("value", [0.001, 0.3, 2.5])
+def test_constant_delta_converges_to_minimum_norm_optimum(value):
+    # only b0 + b1 * value is identified: the minimum-norm optimum puts
+    # logit(rate) on the direction (1, value)
+    labels = np.arange(1000) < 137
+    gate = fit_gate(np.full(1000, value), labels)
+    logit = np.log(0.137 / 0.863)
+    assert gate.converged
+    np.testing.assert_allclose(
+        [gate.b0, gate.b1], np.array([1.0, value]) * logit / (1.0 + value**2), rtol=1e-10
+    )
 
 
 def sigmoid_reference(t):

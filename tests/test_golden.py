@@ -84,6 +84,44 @@ def compare_text(got: str, want: str) -> list:
     return bad
 
 
+def float_cell_changes(got: str, want: str) -> tuple:
+    """(float cells that differ, float cells, largest relative difference,
+    other cells that differ) between two outputs, compared cell by cell."""
+    changed = total = other = 0
+    worst = 0.0
+    for g, w in zip(got.split("\n"), want.split("\n")):
+        for a, b in zip(_SEPARATORS.split(g)[::2], _SEPARATORS.split(w)[::2]):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                other += a != b
+                continue
+            total += 1
+            if a != b:
+                changed += 1
+                scale = max(abs(x), abs(y))
+                worst = max(worst, abs(x - y) / scale if scale else 0.0)
+    return changed, total, worst, other
+
+
+def report_changes(before: dict, root: Path) -> None:
+    """Print how each file under ``root`` differs from its old bytes."""
+    after = _files(root)
+    for name in after:
+        new = (root / name).read_bytes()
+        if name not in before:
+            print(f"{name}: new file")
+        elif new != before[name]:
+            changed, total, worst, other = float_cell_changes(new.decode(), before[name].decode())
+            line = f"{name}: {changed} of {total} float cells differ, max relative {worst:.2g}"
+            lines = (before[name].count(b"\n"), new.count(b"\n"))
+            if other or lines[0] != lines[1]:
+                line += f"; {other} other cells differ, lines {lines[0]} -> {lines[1]}"
+            print(line)
+    for name in sorted(set(before) - set(after)):
+        print(f"{name}: removed")
+
+
 def test_cli_outputs_match_golden(tmp_path):
     run_pipeline(tmp_path)
     assert _files(tmp_path) == _files(GOLDEN)
@@ -104,7 +142,16 @@ def test_compare_text_rejects_drift():
     assert compare_text("a;1,0.5\n", "a,1,0.5\n") != []
 
 
+def test_float_cell_changes_counts_and_scales():
+    changed, total, worst, other = float_cell_changes("a,1,0.5000000000000001\n", "a,1,0.5\n")
+    assert (changed, total, other) == (1, 2, 0)
+    assert worst == (0.5000000000000001 - 0.5) / 0.5000000000000001
+    assert float_cell_changes("b,0\n", "a,0\n") == (0, 1, 0.0, 1)
+
+
 if __name__ == "__main__":
+    before = {name: (GOLDEN / name).read_bytes() for name in _files(GOLDEN)} if GOLDEN.exists() else {}
     shutil.rmtree(GOLDEN, ignore_errors=True)
     run_pipeline(GOLDEN)
     print(f"wrote {len(_files(GOLDEN))} golden files under {GOLDEN}")
+    report_changes(before, GOLDEN)

@@ -301,7 +301,7 @@ def reference_read_csv(path):
 
 CELLS = st.sampled_from(
     ["1", "-2.5e-3", "-0.0", "5e-324", "inf", "-nan", "NaN", "NA", "none", "", " ",
-     " 7 ", "1_0", '"3"', "#", "x", "0x1", "+.5"]
+     " 7 ", "1_0", '"3"', "#", "x", "0x1", "+.5", "\t", " nA\t", "NULL", "na n", "\x0c"]
 )
 SEPARATORS = st.sampled_from([",", ",", ",", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c", "\x0b"])
 

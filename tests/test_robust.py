@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestFitRobust:
                 fit_robust(X, Z, y, 1.0)
             except SingleClassError:
                 pass
+
+    def test_peak_memory_bounded_by_input(self):
+        # the centered copies of X, Z and y are gone before the gate is fit,
+        # and the gate works on a few vectors of delta's length
+        X, Z, y = generate_linear(SyntheticConfig(rho=0.7, nu_z=3.0, n=200_000, seed=14))
+        input_bytes = X.nbytes + Z.nbytes + y.nbytes
+        tracemalloc.start()
+        try:
+            fit_robust(X, Z, y, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * input_bytes
 
     def test_invalid_alpha(self):
         rng = np.random.default_rng(10)
