@@ -111,9 +111,20 @@ def cmd_simulate(args) -> int:
 
 
 def _load_dataset(args, feature_map):
-    """Read a CSV and assemble (X_raw, Z, y) per the schema settings."""
+    """Read a CSV and assemble (X_raw, Z, y) per the schema settings.
+
+    ``--lag`` builds every column from ``--nox-col`` and ``--o3-col``, so it
+    rules out the column flags, and those two flags need it.
+    """
+    lagged = args.lag is not None
+    unused = ("x_cols", "z_cols", "y_col") if lagged else ("nox_col", "o3_col")
+    stray = ", ".join(f"--{k.replace('_', '-')}" for k in unused if k in args.given)
+    if stray:
+        raise ValidationError(
+            f"--lag builds its own columns; drop {stray}" if lagged else f"{stray}: read only with --lag"
+        )
     table = dataio.read_csv(args.data, date_col=args.date_col)
-    if args.lag:
+    if lagged:
         ds = dataio.build_lagged(table, LagSpec(L=args.lag, nox_column=args.nox_col, o3_column=args.o3_col))
     else:
         if not (args.x_cols and args.z_cols and args.y_col):
@@ -210,6 +221,11 @@ def cmd_experiment(args) -> int:
     table, curves = evalkit.run_mc_experiment(
         cfg, args.n_train, args.n_test, args.n_runs, args.alpha, z_bin_edges=edges
     )
+    if table.failed_runs:
+        failed = [f"{i},{msg}" for i, msg in table.failed_runs]
+        (out / "failed_runs.csv").write_text("run,reason\n" + "\n".join(failed) + "\n")
+        if len(table.failed_runs) == args.n_runs:
+            raise ValidationError(f"no run completed; reasons in {out / 'failed_runs.csv'}")
 
     lines = [
         "predictor,mean_delta_inlier_pct,q25_inlier,median_inlier,q75_inlier,"
@@ -226,9 +242,6 @@ def cmd_experiment(args) -> int:
             per_run.append(f"{r},{row.name},{fmt_float(d_in)},{fmt_float(d_out)}")
     (out / "delta_table.csv").write_text("\n".join(lines) + "\n")
     (out / "per_run.csv").write_text("\n".join(per_run) + "\n")
-    if table.failed_runs:
-        failed = [f"{i},{msg}" for i, msg in table.failed_runs]
-        (out / "failed_runs.csv").write_text("run,reason\n" + "\n".join(failed) + "\n")
 
     if curves is not None:
         names = list(curves.mse)
@@ -248,6 +261,22 @@ def cmd_experiment(args) -> int:
     print("\n".join(lines))
     print(f"outputs written to {out}")
     return EXIT_OK
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text):
+        value = int(text)  # a ValueError is argparse's "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_POSITIVE_INT = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x-cols", help="comma-separated observable feature columns")
         p.add_argument("--z-cols", help="comma-separated missing feature columns")
         p.add_argument("--y-col", help="outcome column")
-        p.add_argument("--lag", type=int, help="build 2L lagged features")
+        p.add_argument("--lag", type=_POSITIVE_INT, help="build 2L lagged features")
         p.add_argument("--nox-col", default="nox", help="NOx column for --lag")
         p.add_argument("--o3-col", default="o3", help="O3 column for --lag")
         p.add_argument("--date-col")
 
     p = command("simulate", cmd_simulate, "write synthetic train/test CSVs")
     process_flags(p)
-    p.add_argument("--n", type=int, default=1000, help="training rows")
-    p.add_argument("--n-test", type=int, default=0, help="test rows (0 = none)")
+    p.add_argument("--n", type=_POSITIVE_INT, default=1000, help="training rows")
+    p.add_argument("--n-test", type=_int_at_least(0), default=0, help="test rows (0 = none)")
 
     p = command("fit", cmd_fit, "fit the robust model from a training CSV")
     config_flag(p)
@@ -320,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("experiment", cmd_experiment, "Monte Carlo comparison of all predictors")
     process_flags(p)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--n-train", type=int, default=100)
-    p.add_argument("--n-test", type=int, default=100000)
-    p.add_argument("--n-runs", type=int, default=50)
-    p.add_argument("--z-bins", type=int, default=48)
+    p.add_argument("--n-train", type=_POSITIVE_INT, default=100)
+    p.add_argument("--n-test", type=_POSITIVE_INT, default=100000)
+    p.add_argument("--n-runs", type=_POSITIVE_INT, default=50)
+    p.add_argument("--z-bins", type=_POSITIVE_INT, default=48)
 
     return parser
 

@@ -164,16 +164,17 @@ def _parse_numbers(fh, n_cols: int):
     return values if values.shape == (n_lines, n_cols) else None
 
 
-def write_csv(path, names, columns, dates=None, date_col="date") -> None:
+def write_csv(path, names, columns, dates=None) -> None:
     """Write columns to CSV with round-trip float precision.
 
     Cells are ``fmt_float`` strings, NaN is an empty cell and rows end in
-    the csv module's ``\\r\\n``.
+    the csv module's ``\\r\\n``. With ``dates``, a first column headed
+    ``date`` holds them.
     """
     names = list(names)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ([date_col] if dates is not None else []) + names
+        header = (["date"] if dates is not None else []) + names
         writer.writerow(header)
         values = np.column_stack([columns[name] for name in names])
         if dates is None and values.dtype == np.float64 and not np.isnan(values).any():
@@ -401,12 +402,9 @@ def load_model(path):
         gmat = np.vstack(gmat_rows) if q else np.empty((0, d))
         minv = np.vstack(minv_rows) if q else np.empty((0, 0))
         model = RobustModel(
-            w_opt=LinearPredictor(weights=w_opt_w, kind="optimistic"),
+            w_opt=LinearPredictor(weights=w_opt_w),
             w_con=LinearPredictor(
-                weights=w_con_w,
-                kind="conservative",
-                constraint_residual=residual,
-                constraint_infeasible=infeasible,
+                weights=w_con_w, constraint_residual=residual, constraint_infeasible=infeasible
             ),
             imputer=Imputer(gmat=gmat),
             region=OutlierRegion(minv=minv, alpha=alpha, center=z_mean),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
-from .gate import OutlierRegion, is_outlier
+from .gate import is_outlier
 from .linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
 from .robust import RobustModel, fit_robust, predict_parts
@@ -54,18 +54,6 @@ def _split_report(err2, out_mask) -> EvalReport:
         n_out=n_out,
         n_in=n_in,
     )
-
-
-def evaluate(predict_fn, X_test, Z_test, y_test, region: OutlierRegion) -> EvalReport:
-    """Split test rows by region membership of z and average squared errors.
-
-    ``predict_fn(X, Z)`` must return a vector of predictions; predictors that
-    ignore z simply discard the second argument. The region must come from
-    training z-moments: z is unseen at prediction time.
-    """
-    X, Z, y = _aligned(X_test, Z_test, y_test)
-    err2 = (y - np.asarray(predict_fn(X, Z), dtype=float).ravel()) ** 2
-    return _split_report(err2, is_outlier(region, Z))
 
 
 def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
@@ -140,7 +128,6 @@ class DeltaTable:
 class CurveSet:
     """Monte Carlo mean conditional-MSE curves over scalar z bins."""
 
-    bin_edges: np.ndarray
     centers: np.ndarray
     mse: dict  # name -> array (nan where the bin stayed empty)
     counts: dict  # name -> total rows per bin
@@ -162,11 +149,11 @@ def run_mc_experiment(
     n_runs: int,
     alpha: float,
     z_bin_edges=None,
-    include_oracle: bool = True,
 ):
     """Monte Carlo comparison of the three predictors against the optimistic
     baseline, with optional conditional-MSE curve accumulation over
-    ``z_bin_edges`` (scalar z only, so not for the polynomial process).
+    ``z_bin_edges`` (scalar z only, so not for the polynomial process) for
+    those three and the oracle.
 
     Each run derives its own seeds from the config's master seed (train seed
     = master + 2*i + 1, test seed = master + 2*i + 2) so runs are independent
@@ -178,7 +165,7 @@ def run_mc_experiment(
     deltas = {name: ([], []) for name in PREDICTORS}
     failed = []
 
-    curve_names = PREDICTORS + (("oracle",) if include_oracle else ())
+    curve_names = PREDICTORS + ("oracle",)
     want_curves = z_bin_edges is not None
     sq_sums = counts = centers = None
     if want_curves:
@@ -203,12 +190,11 @@ def run_mc_experiment(
             deltas[name][1].append(d_out)
 
         if want_curves:
-            if include_oracle:
-                z_mean = model.region.center
-                m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)
-                oracle = fit_oracle(m)
-                pred = (X_te - model.x_mean) @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
-                err2["oracle"] = (y_te - pred) ** 2
+            z_mean = model.region.center
+            m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)
+            oracle = fit_oracle(m)
+            pred = (X_te - model.x_mean) @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
+            err2["oracle"] = (y_te - pred) ** 2
             idx = np.digitize(Z_te[:, 0], z_bin_edges) - 1
             valid = (idx >= 0) & (idx < len(centers))
             for name in curve_names:
@@ -233,7 +219,7 @@ def run_mc_experiment(
             name: np.where(counts[name] > 0, sq_sums[name] / np.maximum(counts[name], 1), np.nan)
             for name in curve_names
         }
-        curves = CurveSet(bin_edges=z_bin_edges, centers=centers, mse=mse, counts=counts)
+        curves = CurveSet(centers=centers, mse=mse, counts=counts)
     return table, curves
 
 
@@ -245,8 +231,6 @@ class ExcessMseCheck:
     rhs: float
     term_dispersion: float  # z-dispersion-weighted term, zero on the constraint set
     term_residual: float  # residual-feature term
-    gamma: np.ndarray
-    resid_moment: np.ndarray
 
 
 def excess_mse_check(moments: SecondMoments, w) -> ExcessMseCheck:
@@ -280,6 +264,4 @@ def excess_mse_check(moments: SecondMoments, w) -> ExcessMseCheck:
         rhs=term1 + term2,
         term_dispersion=term1,
         term_residual=term2,
-        gamma=gamma,
-        resid_moment=resid_moment,
     )

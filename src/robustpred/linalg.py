@@ -80,7 +80,6 @@ class SecondMoments:
     sxy: np.ndarray
     szy: np.ndarray
     syy: float
-    n: int
 
     @property
     def d(self) -> int:
@@ -116,23 +115,19 @@ def accumulate_moments(X, Z, y) -> SecondMoments:
         sxy=X.T @ y / n,
         szy=Z.T @ y / n,
         syy=float(y @ y / n),
-        n=n,
     )
 
 
-def pseudoinverse(A, tol: float = DEFAULT_SV_CUTOFF) -> np.ndarray:
+def pseudoinverse(A) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``tol * max(singular value)`` are treated as zero,
-    so rank deficiency is handled rather than raised.
+    Singular values below ``DEFAULT_SV_CUTOFF * max(singular value)`` are
+    treated as zero, so rank deficiency is handled rather than raised.
     """
-    A = as_matrix(A, "A")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    return np.linalg.pinv(A, rcond=tol)
+    return np.linalg.pinv(as_matrix(A, "A"), rcond=DEFAULT_SV_CUTOFF)
 
 
-def null_space_projector(A, tol: float = DEFAULT_SV_CUTOFF) -> np.ndarray:
+def null_space_projector(A) -> np.ndarray:
     """Orthogonal projector onto the null space of a q x d matrix A.
 
     Returns the d x d matrix I - V_r V_r^T where V_r spans the row space of A.
@@ -142,7 +137,7 @@ def null_space_projector(A, tol: float = DEFAULT_SV_CUTOFF) -> np.ndarray:
     if A.shape[0] == 0 or not np.any(A):
         return np.eye(d)
     _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > DEFAULT_SV_CUTOFF * s[0])) if s.size else 0
     if rank == d:
         # the null space is {0}; I - V V' would hold roundoff that a
         # relative-cutoff pseudoinverse downstream blows up to O(1)

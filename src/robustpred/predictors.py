@@ -34,7 +34,6 @@ class LinearPredictor:
     """A weight vector over centered x; conservative fits add diagnostics."""
 
     weights: np.ndarray
-    kind: str  # "optimistic" | "conservative" | "oracle-restricted"
     constraint_residual: float = None
     constraint_infeasible: bool = False
 
@@ -61,7 +60,7 @@ class Imputer:
 def fit_optimistic(moments: SecondMoments) -> LinearPredictor:
     """Unconstrained sample-MSE minimizer over x."""
     w = pseudoinverse(moments.sxx) @ moments.sxy
-    return LinearPredictor(weights=w, kind="optimistic")
+    return LinearPredictor(weights=w)
 
 
 def fit_conservative(moments: SecondMoments) -> LinearPredictor:
@@ -74,9 +73,7 @@ def fit_conservative(moments: SecondMoments) -> LinearPredictor:
     infeasible, which signals degenerate training data rather than aborting.
     """
     if moments.q == 0:
-        return LinearPredictor(
-            weights=fit_optimistic(moments).weights, kind="conservative", constraint_residual=0.0
-        )
+        return LinearPredictor(weights=fit_optimistic(moments).weights, constraint_residual=0.0)
     szx, szy = moments.szx, moments.szy
     w0 = pseudoinverse(szx) @ szy
     pi = null_space_projector(szx)
@@ -88,7 +85,6 @@ def fit_conservative(moments: SecondMoments) -> LinearPredictor:
     )
     return LinearPredictor(
         weights=w,
-        kind="conservative",
         constraint_residual=residual,
         constraint_infeasible=bool(infeasible),
     )

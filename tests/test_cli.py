@@ -157,6 +157,56 @@ class TestFit:
         assert "n=297 d=6 q=1 alpha=0.29999999999999999" in (model.parent / "fit_report.txt").read_text()
 
 
+class TestFlagRules:
+    @pytest.fixture()
+    def daily(self, tmp_path):
+        from robustpred.dataio import write_csv
+
+        rng = np.random.default_rng(15)
+        data = tmp_path / "daily.csv"
+        write_csv(data, ["nox", "o3"], {"nox": rng.normal(size=300), "o3": rng.normal(size=300)})
+        return data
+
+    @pytest.mark.parametrize("flag,value", [("--x-cols", "nox"), ("--z-cols", "o3"), ("--y-col", "nox")])
+    def test_lag_rejects_column_flags(self, tmp_path, capsys, daily, flag, value):
+        model = tmp_path / "m" / "model.txt"
+        assert run("fit", "--data", str(daily), "--lag", "3", flag, value,
+                   "--model-out", str(model)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--lag" in err and flag in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--nox-col", "--o3-col"])
+    def test_lag_column_flags_need_lag(self, tmp_path, capsys, flag):
+        out = simulate(tmp_path)
+        model = tmp_path / "m" / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, flag, "foo",
+                   "--model-out", str(model)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--lag" in err and flag in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("simulate", "--n", "0"), ("simulate", "--n-test", "-5"), ("fit", "--lag", "0"),
+         ("experiment", "--z-bins", "0"), ("experiment", "--z-bins", "-1"),
+         ("experiment", "--n-test", "0"), ("experiment", "--n-train", "0"),
+         ("experiment", "--n-runs", "0")],
+    )
+    def test_counts_must_be_positive(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        # small valid settings first; the bad count, given last, wins
+        base = {
+            "simulate": ("--n", "50", "--out", str(out)),
+            "fit": ("--data", str(simulate(tmp_path) / "train.csv"), *SCHEMA, "--model-out", str(out / "m.txt")),
+            "experiment": ("--n-train", "100", "--n-test", "500", "--n-runs", "1", "--out", str(out)),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *base, flag, value) == EXIT_VALIDATION
+        assert f"argument {flag}: must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluate:
     @pytest.fixture()
     def fitted(self, tmp_path):
@@ -289,6 +339,16 @@ class TestExperiment:
             assert run(*base, *extra) == EXIT_VALIDATION
             assert "--alph" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+    def test_no_completed_run_fails_loudly(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        # alpha so small that no training sample holds a tail row
+        assert run("experiment", "--n-runs", "3", "--n-test", "1000", "--alpha", "0.0001",
+                   "--out", str(out)) == EXIT_VALIDATION
+        assert f"error: no run completed; reasons in {out / 'failed_runs.csv'}" in capsys.readouterr().err
+        failed = (out / "failed_runs.csv").read_text().splitlines()
+        assert failed[0] == "run,reason" and [l.split(",")[0] for l in failed[1:]] == ["0", "1", "2"]
+        assert not (out / "delta_table.csv").exists()
 
     def test_unparsable_config_value_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

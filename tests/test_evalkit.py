@@ -1,14 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from robustpred.datagen import PolyConfig, SyntheticConfig, generate_linear
 from robustpred.evalkit import (
+    _split_report,
+    compare_predictors,
     delta_percent,
-    evaluate,
     excess_mse_check,
     run_mc_experiment,
 )
-from robustpred.gate import OutlierRegion
+from robustpred.gate import OutlierRegion, is_outlier
 from robustpred.linalg import ShapeError, accumulate_moments
 from robustpred.predictors import fit_conservative, fit_optimistic
 
@@ -18,12 +21,17 @@ def region_for(Z, alpha=0.1):
     return OutlierRegion(minv=np.linalg.pinv(Z.T @ Z / n), alpha=alpha)
 
 
+def split(pred, Z, y, region):
+    """The EvalReport of predictions ``pred``, split by the region membership of z."""
+    return _split_report((y - pred) ** 2, is_outlier(region, Z))
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         rng = np.random.default_rng(0)
         X, Z = rng.normal(size=(200, 2)), rng.normal(size=(200, 1))
         y = X @ np.array([1.0, -1.0])
-        rep = evaluate(lambda X, Z: X @ np.array([1.0, -1.0]), X, Z, y, region_for(Z))
+        rep = split(X @ np.array([1.0, -1.0]), Z, y, region_for(Z))
         assert rep.mse == rep.mse_in == rep.mse_out == 0.0
 
     def test_constant_predictor_variance_identity(self):
@@ -31,7 +39,7 @@ class TestEvaluate:
         X, Z = rng.normal(size=(500, 2)), rng.normal(size=(500, 1))
         y = rng.normal(size=500)
         y -= y.mean()
-        rep = evaluate(lambda X, Z: np.zeros(len(X)), X, Z, y, region_for(Z))
+        rep = split(np.zeros(len(X)), Z, y, region_for(Z))
         assert rep.mse == pytest.approx(np.mean(y**2))
 
     def test_matches_loop_oracle(self):
@@ -39,8 +47,7 @@ class TestEvaluate:
         X, Z = rng.normal(size=(100, 2)), rng.normal(size=(100, 1))
         y = rng.normal(size=100)
         region = region_for(Z, alpha=0.3)
-        predict_fn = lambda X, Z: X[:, 0] * 0.5
-        rep = evaluate(predict_fn, X, Z, y, region)
+        rep = split(X[:, 0] * 0.5, Z, y, region)
         out_sq, in_sq = [], []
         for i in range(100):
             e2 = (y[i] - 0.5 * X[i, 0]) ** 2
@@ -54,7 +61,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         X, Z = rng.normal(size=(300, 2)), rng.standard_t(3, size=(300, 1))
         y = rng.normal(size=300)
-        rep = evaluate(lambda X, Z: X.sum(1), X, Z, y, region_for(Z))
+        rep = split(X.sum(1), Z, y, region_for(Z))
         recombined = (rep.n_out * rep.mse_out + rep.n_in * rep.mse_in) / (rep.n_out + rep.n_in)
         assert rep.mse == pytest.approx(recombined, abs=1e-10)
 
@@ -64,13 +71,16 @@ class TestEvaluate:
         Z = np.full((50, 1), 0.01)  # no z reaches the tail threshold
         y = rng.normal(size=50)
         region = OutlierRegion(minv=np.eye(1), alpha=0.1)
-        rep = evaluate(lambda X, Z: np.zeros(len(X)), X, Z, y, region)
+        rep = split(np.zeros(len(X)), Z, y, region)
         assert rep.n_out == 0 and rep.mse_out is None
         assert rep.mse_in is not None
 
     def test_misaligned_arrays(self):
+        from robustpred.robust import fit_robust
+
+        model = fit_robust(*generate_linear(SyntheticConfig(n=200, seed=5)), 0.3)
         with pytest.raises(ShapeError):
-            evaluate(lambda X, Z: np.zeros(2), np.zeros((2, 1)), np.zeros((3, 1)), np.zeros(2), region_for(np.ones((3, 1))))
+            compare_predictors(model, np.zeros((2, 3)), np.zeros((3, 1)), np.zeros(2))
 
 
 class TestRunMcExperiment:
@@ -96,9 +106,13 @@ class TestRunMcExperiment:
         X, Z, y = generate_linear(SyntheticConfig(n=150, seed=cfg.seed + 1))
         Xt, Zt, yt = generate_linear(SyntheticConfig(n=1000, seed=cfg.seed + 2))
         model = fit_robust(X, Z, y, 0.3)
-        rep_o = evaluate(lambda X, Z: (X - model.x_mean) @ model.w_opt.weights + model.y_mean, Xt, Zt, yt, model.region)
-        rep_c = evaluate(lambda X, Z: (X - model.x_mean) @ model.w_con.weights + model.y_mean, Xt, Zt, yt, model.region)
-        d_in, d_out = delta_percent(rep_c, rep_o)
+        out = is_outlier(model.region, Zt)
+
+        def by_hand(w):
+            e2 = (yt - ((Xt - model.x_mean) @ w + model.y_mean)) ** 2
+            return SimpleNamespace(mse_in=e2[~out].mean(), mse_out=e2[out].mean())
+
+        d_in, d_out = delta_percent(by_hand(model.w_con.weights), by_hand(model.w_opt.weights))
         row = table.row("conservative")
         assert row.delta_in_runs[0] == pytest.approx(d_in)
         assert row.delta_out_runs[0] == pytest.approx(d_out)

@@ -31,7 +31,7 @@ class TestFitOptimistic:
     def test_identity_gram(self):
         m = SecondMoments(
             sxx=np.eye(2), szx=np.zeros((1, 2)), szz=np.eye(1),
-            sxy=np.array([3.0, -1.0]), szy=np.zeros(1), syy=10.0, n=5,
+            sxy=np.array([3.0, -1.0]), szy=np.zeros(1), syy=10.0,
         )
         np.testing.assert_allclose(fit_optimistic(m).weights, [3.0, -1.0])
 
@@ -62,7 +62,7 @@ class TestFitConservative:
         # z correlates only with x1 and szy = 0: the constraint is w1 = 0
         m = SecondMoments(
             sxx=np.eye(2), szx=np.array([[1.0, 0.0]]), szz=np.eye(1),
-            sxy=np.array([2.0, 3.0]), szy=np.array([0.0]), syy=20.0, n=10,
+            sxy=np.array([2.0, 3.0]), szy=np.array([0.0]), syy=20.0,
         )
         p = fit_conservative(m)
         assert abs(p.weights[0]) <= 1e-10
@@ -76,7 +76,6 @@ class TestFitConservative:
         con = fit_conservative(m)
         opt = fit_optimistic(m)
         np.testing.assert_allclose(con.weights, opt.weights)
-        assert con.kind == "conservative"
 
     def test_constrained_random_probe_optimality(self):
         X, Z, y = centered_sample(4, n=200, d=3, q=1)
@@ -113,7 +112,7 @@ class TestFitOracle:
         # z independent of x in sample and szy = 0 -> beta = 0, alpha = optimistic
         m = SecondMoments(
             sxx=np.diag([1.0, 2.0]), szx=np.zeros((1, 2)), szz=np.eye(1),
-            sxy=np.array([1.0, 4.0]), szy=np.zeros(1), syy=30.0, n=8,
+            sxy=np.array([1.0, 4.0]), szy=np.zeros(1), syy=30.0,
         )
         o = fit_oracle(m)
         np.testing.assert_allclose(o.beta_w, 0.0, atol=1e-12)
@@ -142,7 +141,7 @@ class TestFitImputer:
     def test_zero_cross_moment(self):
         m = SecondMoments(
             sxx=np.eye(2), szx=np.zeros((1, 2)), szz=np.eye(1),
-            sxy=np.zeros(2), szy=np.zeros(1), syy=0.0, n=2,
+            sxy=np.zeros(2), szy=np.zeros(1), syy=0.0,
         )
         imp = fit_imputer(m)
         assert not np.any(imp.gmat)
@@ -187,13 +186,13 @@ class TestPredict:
             assert parts[k][0] == model.y_mean
 
     def test_zero_weights(self, model):
-        zero = dataclasses.replace(model, w_opt=LinearPredictor(weights=np.zeros(3), kind="optimistic"))
+        zero = dataclasses.replace(model, w_opt=LinearPredictor(weights=np.zeros(3)))
         assert predict_parts(zero, np.array([[100.0, -5.0, 2.0]]))[3][0] == pytest.approx(model.y_mean)
 
     def test_hand_arithmetic(self, model):
         hand = dataclasses.replace(
             model,
-            w_opt=LinearPredictor(weights=np.array([2.0, -1.0, 0.5]), kind="optimistic"),
+            w_opt=LinearPredictor(weights=np.array([2.0, -1.0, 0.5])),
             x_mean=np.zeros(3),
             y_mean=1.0,
         )
