@@ -213,11 +213,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _synthetic_config(args)
+    # curves need a scalar z, which the polynomial process does not have
+    poly = isinstance(cfg, PolyConfig)
+    if poly and "z_bins" in args.given:
+        raise ValidationError("--z-bins applies only to --process linear")
     out = Path(args.out)
     _echo_config(out, args, args.given)
 
-    # curves need a scalar z, which the polynomial process does not have
-    edges = None if isinstance(cfg, PolyConfig) else np.linspace(-12.0, 12.0, args.z_bins + 1)
+    edges = None if poly else np.linspace(-12.0, 12.0, args.z_bins + 1)
     table, curves = evalkit.run_mc_experiment(
         cfg, args.n_train, args.n_test, args.n_runs, args.alpha, z_bin_edges=edges
     )
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=_POSITIVE_INT, default=100)
     p.add_argument("--n-test", type=_POSITIVE_INT, default=100000)
     p.add_argument("--n-runs", type=_POSITIVE_INT, default=50)
-    p.add_argument("--z-bins", type=_POSITIVE_INT, default=48)
+    p.add_argument("--z-bins", type=_POSITIVE_INT, default=48, help="conditional-MSE curve bins (linear process only)")
 
     return parser
 

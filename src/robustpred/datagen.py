@@ -94,8 +94,10 @@ def _t_draws(rng: np.random.Generator, dof: float, scale, n: int) -> np.ndarray:
     scale = np.atleast_2d(np.asarray(scale, dtype=float))
     a = _scale_sqrt(scale)
     g = rng.standard_normal((n, scale.shape[0])) @ a.T
-    w = rng.chisquare(dof, n) / dof
-    return g / np.sqrt(w)[:, None]
+    w = rng.chisquare(dof, n)
+    w /= dof
+    g /= np.sqrt(w, out=w)[:, None]
+    return g
 
 
 def sample_t(dof: float, scale, n: int, seed: int) -> np.ndarray:
@@ -111,11 +113,18 @@ def _unit_variance_factor(dof: float) -> float:
 
 
 def _draw_common(cfg: SyntheticConfig, rng: np.random.Generator):
-    z = _t_draws(rng, cfg.nu_z, np.eye(1), cfg.n)[:, 0] / _unit_variance_factor(cfg.nu_z)
-    u = _t_draws(rng, cfg.nu_u, cfg.sigma_u, cfg.n) / _unit_variance_factor(cfg.nu_u)
-    eps_x = np.sqrt(cfg.noise_x_var) * rng.standard_normal((cfg.n, 3))
-    eps_y = np.sqrt(cfg.noise_y_var) * rng.standard_normal(cfg.n)
-    x = cfg.rho * z[:, None] + u + eps_x
+    # scaled and summed in place, one operation at a time in the order of
+    # z = t / f, u = t / f, x = rho * z + u + eps_x: bitwise those formulas
+    z = _t_draws(rng, cfg.nu_z, np.eye(1), cfg.n)[:, 0]
+    z /= _unit_variance_factor(cfg.nu_z)
+    x = _t_draws(rng, cfg.nu_u, cfg.sigma_u, cfg.n)
+    x /= _unit_variance_factor(cfg.nu_u)
+    eps_x = rng.standard_normal((cfg.n, 3))
+    eps_x *= np.sqrt(cfg.noise_x_var)
+    eps_y = rng.standard_normal(cfg.n)
+    eps_y *= np.sqrt(cfg.noise_y_var)
+    x += cfg.rho * z[:, None]
+    x += eps_x
     return z, x, eps_y
 
 
@@ -123,7 +132,11 @@ def generate_linear(cfg: SyntheticConfig):
     """Draw (X: n x 3, Z: n x 1, y) from the linear process, seeded."""
     rng = np.random.default_rng(cfg.seed)
     z, x, eps_y = _draw_common(cfg, rng)
-    y = z + x.sum(axis=1) + eps_y
+    # bitwise z + x.sum(axis=1) + eps_y: the row sum adds x's columns left to right
+    y = np.add(x[:, 0], x[:, 1])
+    y += x[:, 2]
+    y += z
+    y += eps_y
     return x, z[:, None], y
 
 

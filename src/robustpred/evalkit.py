@@ -89,13 +89,19 @@ def delta_percent(report, baseline) -> tuple:
 
 @dataclass(frozen=True)
 class DeltaRow:
-    """Per-predictor percent MSE changes versus the optimistic baseline."""
+    """Per-predictor percent MSE changes versus the optimistic baseline.
+
+    With no completed run, every aggregate of ``inlier`` and ``outlier`` is
+    nan.
+    """
 
     name: str
     delta_in_runs: np.ndarray
     delta_out_runs: np.ndarray
 
     def _agg(self, values):
+        if len(values) == 0:  # no run completed
+            return dict.fromkeys(("mean", "q25", "median", "q75"), float("nan"))
         return {
             "mean": float(np.mean(values)),
             "q25": float(np.percentile(values, 25)),
@@ -158,7 +164,9 @@ def run_mc_experiment(
     Each run derives its own seeds from the config's master seed (train seed
     = master + 2*i + 1, test seed = master + 2*i + 2) so runs are independent
     yet fully reproducible. Returns (DeltaTable, CurveSet | None); runs whose
-    fit fails are recorded, not fatal.
+    fit fails are recorded, not fatal. A run draws its test data only after
+    its fit succeeds; a failed run's test seed stays reserved, so every
+    completed run sees the same data whichever other runs fail.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -173,17 +181,20 @@ def run_mc_experiment(
             raise ShapeError("conditional curves are defined for scalar z only")
         z_bin_edges = np.asarray(z_bin_edges, dtype=float)
         centers = 0.5 * (z_bin_edges[:-1] + z_bin_edges[1:])
+        # np.digitize gives 0 below the first edge, len(edges) from the last
+        # edge on, and b + 1 inside bin b
+        n_edges = len(z_bin_edges)
         sq_sums = {name: np.zeros(len(centers)) for name in curve_names}
-        counts = {name: np.zeros(len(centers), dtype=int) for name in curve_names}
+        counts = np.zeros(len(centers), dtype=int)
 
     for i in range(n_runs):
         X_tr, Z_tr, y_tr = _generate(cfg, n_train, cfg.seed + 2 * i + 1)
-        X_te, Z_te, y_te = _generate(cfg, n_test, cfg.seed + 2 * i + 2)
         try:
             model = fit_robust(X_tr, Z_tr, y_tr, alpha)
         except Exception as exc:  # noqa: BLE001 - failed runs are data, not crashes
             failed.append((i, str(exc)))
             continue
+        X_te, Z_te, y_te = _generate(cfg, n_test, cfg.seed + 2 * i + 2)
         compared, err2 = compare_predictors(model, X_te, Z_te, y_te)
         for name, _, d_in, d_out in compared:
             deltas[name][0].append(d_in)
@@ -195,11 +206,10 @@ def run_mc_experiment(
             oracle = fit_oracle(m)
             pred = (X_te - model.x_mean) @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
             err2["oracle"] = (y_te - pred) ** 2
-            idx = np.digitize(Z_te[:, 0], z_bin_edges) - 1
-            valid = (idx >= 0) & (idx < len(centers))
+            idx = np.digitize(Z_te[:, 0], z_bin_edges)
+            counts += np.bincount(idx, minlength=n_edges)[1:n_edges]
             for name in curve_names:
-                sq_sums[name] += np.bincount(idx[valid], err2[name][valid], minlength=len(centers))
-                counts[name] += np.bincount(idx[valid], minlength=len(centers))
+                sq_sums[name] += np.bincount(idx, err2[name], minlength=n_edges)[1:n_edges]
         # the next run's data generation is the peak of memory; do not hold
         # this run's squared errors through it
         del err2
@@ -216,10 +226,10 @@ def run_mc_experiment(
     curves = None
     if want_curves:
         mse = {
-            name: np.where(counts[name] > 0, sq_sums[name] / np.maximum(counts[name], 1), np.nan)
+            name: np.where(counts > 0, sq_sums[name] / np.maximum(counts, 1), np.nan)
             for name in curve_names
         }
-        curves = CurveSet(centers=centers, mse=mse, counts=counts)
+        curves = CurveSet(centers=centers, mse=mse, counts={name: counts.copy() for name in curve_names})
     return table, curves
 
 

@@ -350,6 +350,27 @@ class TestExperiment:
         assert failed[0] == "run,reason" and [l.split(",")[0] for l in failed[1:]] == ["0", "1", "2"]
         assert not (out / "delta_table.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_z_bins_rejected_for_poly_process(self, tmp_path, capsys, source):
+        out = tmp_path / "e"
+        base = ("experiment", "--process", "poly", "--n-runs", "1", "--n-test", "200", "--out", str(out))
+        if source == "flag":
+            extra = ("--z-bins", "7")
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("z-bins=7\n")
+            extra = ("--config", str(cfg))
+        assert run(*base, *extra) == EXIT_VALIDATION
+        assert "--z-bins applies only to --process linear" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_poly_process_without_curves(self, tmp_path):
+        out = tmp_path / "e"
+        assert run("experiment", "--process", "poly", "--n-runs", "2", "--n-test", "2000",
+                   "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert (out / "delta_table.csv").exists() and not (out / "curves.csv").exists()
+        assert "z-bins" not in (out / "config_effective.txt").read_text()
+
     def test_unparsable_config_value_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("alpha=abc\n")

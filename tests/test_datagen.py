@@ -4,6 +4,7 @@ import pytest
 from robustpred.datagen import (
     PolyConfig,
     SyntheticConfig,
+    _scale_sqrt,
     feature_map_quadratic,
     generate_linear,
     generate_poly,
@@ -118,3 +119,63 @@ class TestFeatureMapQuadratic:
             for j in range(3):
                 assert out[i, j] == X[i, j]
                 assert out[i, 3 + j] == X[i, j] ** 2
+
+
+def formula_draws(cfg):
+    """(z, x, eps_y) of the processes, written as plain expressions in the
+    order of the random draws."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def t_draws(dof, scale):
+        g = rng.standard_normal((cfg.n, scale.shape[0])) @ _scale_sqrt(scale).T
+        w = rng.chisquare(dof, cfg.n) / dof
+        return g / np.sqrt(w)[:, None]
+
+    def unit_variance(dof):
+        return np.sqrt(dof / (dof - 2.0)) if dof > 2.0 else 1.0
+
+    z = t_draws(cfg.nu_z, np.eye(1))[:, 0] / unit_variance(cfg.nu_z)
+    u = t_draws(cfg.nu_u, cfg.sigma_u) / unit_variance(cfg.nu_u)
+    eps_x = np.sqrt(cfg.noise_x_var) * rng.standard_normal((cfg.n, 3))
+    eps_y = np.sqrt(cfg.noise_y_var) * rng.standard_normal(cfg.n)
+    x = cfg.rho * z[:, None] + u + eps_x
+    return z, x, eps_y
+
+
+def assert_bitwise(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+LINEAR_CONFIGS = [
+    {},
+    {"rho": -0.4, "nu_z": 2.0, "nu_u": 1.5, "noise_x_var": 0.0},
+    {"rho": 0.0, "sigma_u": np.zeros((3, 3)), "noise_x_var": 0.0, "noise_y_var": 0.0},
+]
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+class TestDrawsMatchFormulas:
+    @pytest.mark.parametrize("settings", LINEAR_CONFIGS)
+    def test_linear(self, n, seed, settings):
+        cfg = SyntheticConfig(n=n, seed=seed, **settings)
+        z, x, eps_y = formula_draws(cfg)
+        assert_bitwise(generate_linear(cfg), (x, z[:, None], z + x.sum(axis=1) + eps_y))
+
+    @pytest.mark.parametrize("settings", [{}, {"rho": 0.9, "wz": (0.5, -1.0), "noise_y_var": 0.0}])
+    def test_poly(self, n, seed, settings):
+        cfg = PolyConfig(n=n, seed=seed, **settings)
+        z, x, eps_y = formula_draws(cfg)
+        psi = np.column_stack([z, z**2])
+        y = psi @ np.asarray(cfg.wz) + np.hstack([x, x**2]) @ np.asarray(cfg.wx) + eps_y
+        assert_bitwise(generate_poly(cfg), (x, psi, y))
+
+    def test_sample_t(self, n, seed):
+        scale = np.array([[2.0, 0.5], [0.5, 1.0]])
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, 2)) @ _scale_sqrt(scale).T
+        w = rng.chisquare(4.0, n) / 4.0
+        assert_bitwise((sample_t(4.0, scale, n, seed),), (g / np.sqrt(w)[:, None],))

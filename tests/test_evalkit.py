@@ -130,6 +130,37 @@ class TestRunMcExperiment:
         table, _ = run_mc_experiment(cfg, 60, 500, 5, 0.001)
         assert len(table.failed_runs) + len(table.row("robust").delta_in_runs) == 5
 
+    def test_no_completed_run_aggregates_to_nan(self):
+        # alpha so small that neither training sample holds a tail row
+        table, _ = run_mc_experiment(SyntheticConfig(seed=0), 100, 1000, 2, 0.0001)
+        assert len(table.failed_runs) == 2
+        for row in table.rows:
+            assert len(row.delta_in_runs) == 0
+            for agg in (row.inlier, row.outlier):
+                assert set(agg) == {"mean", "q25", "median", "q75"}
+                assert all(np.isnan(v) for v in agg.values())
+
+    def test_test_data_drawn_only_for_fitted_runs(self, monkeypatch):
+        import robustpred.evalkit as evalkit
+
+        calls = []
+        generate = evalkit._generate
+
+        def recording(cfg, n, seed):
+            calls.append((n, seed))
+            return generate(cfg, n, seed)
+
+        monkeypatch.setattr(evalkit, "_generate", recording)
+        cfg = SyntheticConfig(seed=7)
+        n_train, n_test, n_runs = 100, 200, 8
+        table, _ = run_mc_experiment(cfg, n_train, n_test, n_runs, 0.1)
+        failed = {i for i, _ in table.failed_runs}
+        assert failed == {3, 7}  # single-class training samples at this seed
+        assert [seed for n, seed in calls if n == n_train] == [cfg.seed + 2 * i + 1 for i in range(n_runs)]
+        fitted = [i for i in range(n_runs) if i not in failed]
+        assert [seed for n, seed in calls if n == n_test] == [cfg.seed + 2 * i + 2 for i in fitted]
+        assert len(calls) == n_runs + len(fitted)
+
 
 class TestConditionalMseCurve:
     def test_single_bin_reproduces_overall_mse(self):
@@ -152,6 +183,47 @@ class TestConditionalMseCurve:
             assert curves.counts[name].tolist() == [0, 1000, 0]
             assert np.isnan(curves.mse[name][[0, 2]]).all()
             assert np.isfinite(curves.mse[name][1])
+
+    def test_bins_match_brute_force_with_z_on_the_edges(self):
+        from robustpred.predictors import fit_oracle
+        from robustpred.robust import fit_robust
+
+        cfg, n_train, n_test, alpha = SyntheticConfig(n=100, seed=65), 300, 2000, 0.2
+        z0 = generate_linear(SyntheticConfig(n=n_test, seed=cfg.seed + 2))[1][:, 0]
+        zs = np.sort(z0)
+        # edges on test z values: rows fall below the first edge, on the
+        # first, on an interior and on the last edge, and above the last
+        edges = np.array([zs[100], zs[700], zs[1000], zs[1300], zs[1900]])
+        assert (z0 < edges[0]).any() and (z0 > edges[-1]).any()
+        assert all((z0 == e).sum() == 1 for e in edges)
+        _, curves = run_mc_experiment(cfg, n_train, n_test, 2, alpha, z_bin_edges=edges)
+
+        n_bins = len(edges) - 1
+        sums = {name: [0.0] * n_bins for name in curves.mse}
+        counts = [0] * n_bins
+        for i in range(2):
+            X, Z, y = generate_linear(SyntheticConfig(n=n_train, seed=cfg.seed + 2 * i + 1))
+            Xt, Zt, yt = generate_linear(SyntheticConfig(n=n_test, seed=cfg.seed + 2 * i + 2))
+            model = fit_robust(X, Z, y, alpha)
+            _, err2 = compare_predictors(model, Xt, Zt, yt)
+            oracle = fit_oracle(accumulate_moments(X - model.x_mean, Z - model.region.center, y - model.y_mean))
+            pred = (Xt - model.x_mean) @ oracle.alpha_w + (Zt - model.region.center) @ oracle.beta_w + model.y_mean
+            err2["oracle"] = (yt - pred) ** 2
+            idx = np.digitize(Zt[:, 0], edges) - 1
+            valid = (idx >= 0) & (idx < n_bins)
+            run_sums = {name: [0.0] * n_bins for name in sums}
+            for k in np.flatnonzero(valid):
+                counts[idx[k]] += 1
+                for name in sums:
+                    run_sums[name][idx[k]] += float(err2[name][k])
+            for name in sums:
+                sums[name] = [a + b for a, b in zip(sums[name], run_sums[name])]
+
+        assert 0 < sum(counts) < 2 * n_test
+        for name in sums:
+            assert curves.counts[name].tolist() == counts
+            expected = np.array([s / c if c else np.nan for s, c in zip(sums[name], counts)])
+            assert curves.mse[name].tobytes() == expected.tobytes()
 
     def test_vector_z_unsupported(self):
         with pytest.raises(ShapeError, match="scalar z"):
