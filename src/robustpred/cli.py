@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
             f"--feature-map {args.feature_map} does not match the feature map "
             f"{feature_map} that {args.model} was fitted with"
         )
-    X, Z, y, _ = _load_dataset(args, feature_map)
+    X, Z, y, ds = _load_dataset(args, feature_map)
     if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.region.q:
         raise ShapeError(
             f"test schema ({X.shape[1]}, {Z.shape[1]}) does not match model "
@@ -208,6 +208,7 @@ def cmd_evaluate(args) -> int:
         )
     out.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
+    print(f"dropped rows: {ds.n_dropped}")
     return EXIT_OK
 
 

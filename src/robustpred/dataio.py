@@ -73,7 +73,8 @@ def read_csv(path, date_col: str = None) -> RawTable:
     """Read a headered CSV of numeric columns into a RawTable.
 
     Empty or NA-like cells become gaps (NaN). Any other non-numeric cell is an
-    error naming its data row (1-based) and column.
+    error naming its data row (1-based) and column; so is a header that
+    repeats a name or lacks ``date_col``.
     """
     with open(path, newline="") as fh:
         # readline keeps fh.tell() usable, so the cell loop can restart at
@@ -84,9 +85,14 @@ def read_csv(path, date_col: str = None) -> RawTable:
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise CsvParseError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+        if date_col is not None and date_col not in header:
+            raise CsvParseError(f"{path}: no date column {date_col!r} in the header")
         numeric_names = [h for h in header if h != date_col]
-        # a date column or a repeated name needs the cell loop
-        if len(set(numeric_names)) == len(header):
+        # a date column needs the cell loop
+        if date_col is None:
             body_start = fh.tell()
             values = _parse_numbers(fh, len(header))
             if values is None:
@@ -97,14 +103,10 @@ def read_csv(path, date_col: str = None) -> RawTable:
                 if n_gaps:
                     values = _parse_numbers(io.StringIO(body, newline=""), len(header))
             if values is not None:
-                return RawTable(
-                    names=tuple(header),
-                    columns=dict(zip(header, values.T.copy())),
-                    dates=() if date_col else None,
-                )
+                return RawTable(names=tuple(header), columns=dict(zip(header, values.T.copy())))
             fh.seek(body_start)
         cols = {name: [] for name in numeric_names}
-        dates = [] if date_col else None
+        dates = [] if date_col is not None else None
         for r, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvParseError(

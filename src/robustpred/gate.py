@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, ValidationError, as_batch
+from .linalg import ShapeError, ValidationError, _as_rows
 from .predictors import Imputer
 
 MAX_GATE_PARAM = 1e3
@@ -51,21 +51,17 @@ class OutlierRegion:
 
 
 def _quadratic_form(Z, m):
-    return np.einsum("ij,jk,ik->i", Z, m, Z)
+    return np.einsum("...j,jk,...k->...", Z, m, Z)
 
 
 def mahalanobis_stat(region: OutlierRegion, z) -> float | np.ndarray:
     """Quadratic form of z (single q-vector or n x q batch) in the region metric."""
-    Z, unbatch = as_batch(z)
-    if Z.shape[1] != region.q:
-        raise ShapeError(f"expected z dimension {region.q}, got {Z.shape[1]}")
-    return unbatch(_quadratic_form(Z - region.center, region.minv))
+    return _quadratic_form(_as_rows(z, region.q) - region.center, region.minv)
 
 
 def is_outlier(region: OutlierRegion, z) -> bool | np.ndarray:
     """Region membership; ties at the boundary count as outliers."""
-    Z, unbatch = as_batch(z)
-    return unbatch(mahalanobis_stat(region, Z) >= region.threshold)
+    return mahalanobis_stat(region, z) >= region.threshold
 
 
 def delta_stat(region: OutlierRegion, imputer: Imputer, x_centered) -> float | np.ndarray:
@@ -74,11 +70,10 @@ def delta_stat(region: OutlierRegion, imputer: Imputer, x_centered) -> float | n
     Tiny negative quadratic forms from roundoff are clamped to zero; anything
     below -1e-12 indicates a broken metric and raises.
     """
-    X, unbatch = as_batch(x_centered)
-    form = _quadratic_form(imputer.impute(X), region.minv)
+    form = _quadratic_form(imputer.impute(x_centered), region.minv)
     if (form < -1e-12).any():
         raise ValidationError("negative Mahalanobis quadratic form; metric not PSD")
-    return unbatch(np.sqrt(np.maximum(form, 0.0)))
+    return np.sqrt(np.maximum(form, 0.0))
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,7 @@ def fit_gate(deltas, labels) -> LogisticGate:
 
 
 def prob_outlier(gate: LogisticGate, delta) -> float | np.ndarray:
-    """Gate probability sigmoid(b0 + b1 * delta), always strictly in (0, 1)."""
-    deltas, unbatch = as_batch(delta, ndim=1)
-    p = _sigmoid(gate.b0 + gate.b1 * deltas)
-    return unbatch(np.minimum(np.maximum(p, _TINY), 1.0 - 1e-16))
+    """Gate probability sigmoid(b0 + b1 * delta), always strictly in (0, 1);
+    elementwise, so one delta gives a scalar and an array of them an array."""
+    p = _sigmoid(gate.b0 + gate.b1 * np.asarray(delta, dtype=float))
+    return np.minimum(np.maximum(p, _TINY), 1.0 - 1e-16)

@@ -34,29 +34,13 @@ def as_matrix(a, name="array") -> np.ndarray:
     return m
 
 
-def _unchanged(result):
-    return result
-
-
-def _first(result):
-    first = result[0]
-    return first.item() if first.ndim == 0 else first
-
-
-def as_batch(a, ndim: int = 2):
-    """Lift a single input to a batch of one; pass a batch through.
-
-    ``ndim`` is the rank of a batch: 2 for rows (n x d), 1 for scalars such as
-    delta. Returns the float batch and a function that maps a result computed
-    on it back to the caller's shape: unchanged for a batch, otherwise its
-    first entry, as a Python scalar when that entry is 0-d.
-    """
+def _as_rows(a, d: int) -> np.ndarray:
+    """``a`` as a float array if it is one d-vector or an n x d batch, the two
+    shapes the numeric core takes; any other shape is a ShapeError."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == ndim:
-        return a, _unchanged
-    if a.ndim != ndim - 1:
-        raise ShapeError(f"expected a {ndim - 1}-D or {ndim}-D input, got ndim={a.ndim}")
-    return a[None], _first
+    if a.ndim not in (1, 2) or a.shape[-1] != d:
+        raise ShapeError(f"expected a {d}-vector or an n x {d} batch, got shape {a.shape}")
+    return a
 
 
 def as_vector(a, name="array") -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import (
     SecondMoments,
-    as_batch,
+    _as_rows,
     minimize_quadratic_on_affine,
     null_space_projector,
     pseudoinverse,
@@ -53,8 +53,8 @@ class Imputer:
     gmat: np.ndarray
 
     def impute(self, x_centered) -> np.ndarray:
-        X, unbatch = as_batch(x_centered)
-        return unbatch(X @ self.gmat.T)
+        """Imputed z: a q-vector for one centered x row, n x q for a batch."""
+        return _as_rows(x_centered, self.gmat.shape[1]) @ self.gmat.T
 
 
 def fit_optimistic(moments: SecondMoments) -> LinearPredictor:

@@ -5,7 +5,8 @@ Fitting runs the full pipeline on raw training data: center, accumulate
 moments, fit both predictors, the imputer and the tail region, compute
 delta(x_i) and the outlier indicator of every training row, and fit the
 logistic gate on them. The fitted model is immutable; prediction is pure and
-concurrent-safe, and every prediction entry point runs one batch routine.
+concurrent-safe, and every prediction entry point reads ``predict_parts``,
+which takes one row or a batch through the same numpy code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate import LogisticGate, OutlierRegion, delta_stat, fit_gate, is_outlier, prob_outlier
-from .linalg import ShapeError, accumulate_moments, as_batch, as_matrix, as_vector, pseudoinverse
+from .linalg import ShapeError, _as_rows, accumulate_moments, as_matrix, as_vector, pseudoinverse
 from .predictors import Imputer, LinearPredictor, fit_conservative, fit_imputer, fit_optimistic
 
 
@@ -90,16 +91,14 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
 
 def predict_parts(model: RobustModel, X) -> tuple:
     """Robust prediction, gate probability, delta, and the optimistic and
-    conservative predictions for an n x d batch of raw x.
+    conservative predictions for one raw x row (numpy scalars) or an n x d
+    batch (arrays).
 
     x is centered once, and each of delta(x), the gate and the two base
     products is computed once per row; every other prediction entry point
     reads its result from here.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.x_mean.shape[0]:
-        raise ShapeError(f"expected an n x {model.x_mean.shape[0]} batch, got shape {X.shape}")
-    xc = X - model.x_mean
+    xc = _as_rows(X, model.x_mean.shape[0]) - model.x_mean
     delta = delta_stat(model.region, model.imputer, xc)
     p = prob_outlier(model.gate, delta)
     opt = xc @ model.w_opt.weights
@@ -110,18 +109,16 @@ def predict_parts(model: RobustModel, X) -> tuple:
 
 def outlier_probability(model: RobustModel, x) -> float | np.ndarray:
     """Gate probability of an outlying z given raw x (vector or batch)."""
-    X, unbatch = as_batch(x)
-    return unbatch(predict_parts(model, X)[1])
+    return predict_parts(model, x)[1]
 
 
 def adaptive_weights(model: RobustModel, x) -> np.ndarray:
-    """Effective weight vector at x: convex mix of the two base predictors."""
-    X, unbatch = as_batch(x)
-    p = predict_parts(model, X)[1][:, None]
-    return unbatch((1.0 - p) * model.w_opt.weights + p * model.w_con.weights)
+    """Effective weight vector at x: convex mix of the two base predictors;
+    a d-vector for one row, n x d for a batch."""
+    p = predict_parts(model, x)[1]
+    return np.multiply.outer(1.0 - p, model.w_opt.weights) + np.multiply.outer(p, model.w_con.weights)
 
 
 def predict_robust(model: RobustModel, x) -> float | np.ndarray:
     """Prediction with the adaptive weight vector on raw x (vector or batch)."""
-    X, unbatch = as_batch(x)
-    return unbatch(predict_parts(model, X)[0])
+    return predict_parts(model, x)[0]

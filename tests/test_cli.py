@@ -104,6 +104,13 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
 
+    def test_date_col_absent_from_header(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        code = run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--date-col", "when",
+                   "--model-out", str(tmp_path / "m.txt"))
+        assert code == EXIT_VALIDATION
+        assert "'when'" in capsys.readouterr().err
+
     def test_refit_identical_model_file(self, tmp_path):
         out = simulate(tmp_path)
         for sub in ("m1", "m2"):
@@ -242,6 +249,17 @@ class TestEvaluate:
                    "--x-cols", "x1,x2", "--z-cols", "z1", "--y-col", "y",
                    "--out", str(tmp_path / "r.csv"))
         assert code == EXIT_VALIDATION
+
+    def test_reports_dropped_gap_rows(self, tmp_path, fitted, capsys):
+        out, model = fitted
+        lines = (out / "test.csv").read_text().splitlines(keepends=True)
+        lines[5] = "," + lines[5].split(",", 1)[1]  # empty x1 cell: a gap row
+        data = tmp_path / "gappy.csv"
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model), "--data", str(data),
+                   *SCHEMA, "--out", str(tmp_path / "r.csv")) == EXIT_OK
+        assert "dropped rows: 1\n" in capsys.readouterr().out
 
     def test_feature_map_other_than_model_rejected(self, tmp_path, fitted, capsys):
         out, model = fitted

@@ -110,6 +110,8 @@ class TestReadCsvEdgeCases:
             ("a,b\n1,2#3\n", "non-numeric cell at row 1, column b"),
             ("a,b\n#1,2\n", "non-numeric cell at row 1, column a"),
             ("a\n1\n\n", "row 2 has 0 cells, expected 1"),
+            ("a,a,b\n1,2,3\n", "column 'a' appears more than once in the header"),
+            ("b, a ,a\n1,2,3\n", "column 'a' appears more than once in the header"),
         ],
     )
     def test_same_error_as_cell_parse(self, tmp_path, text, message):
@@ -158,7 +160,8 @@ class TestReadCsvEdgeCases:
     def test_date_column_absent_from_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
-        assert read_csv(p, date_col="date").dates == ()
+        with pytest.raises(CsvParseError, match="no date column 'date' in the header"):
+            read_csv(p, date_col="date")
 
 
 class TestBuildLagged:

@@ -5,7 +5,6 @@ from robustpred.linalg import (
     ShapeError,
     ValidationError,
     accumulate_moments,
-    as_batch,
     empirical_mse,
     minimize_quadratic_on_affine,
     null_space_projector,
@@ -173,30 +172,3 @@ class TestMinimizeQuadraticOnAffine:
         assert best <= empirical_mse(m, w0) + 1e-12
         for theta in rng.normal(size=(1000, 4)):
             assert best <= empirical_mse(m, w0 + pi @ theta) + 1e-10
-
-
-class TestAsBatch:
-    def test_batch_passes_through(self):
-        X = np.arange(6.0).reshape(3, 2)
-        batch, unbatch = as_batch(X)
-        assert batch is X
-        out = batch.sum(axis=1)
-        assert unbatch(out) is out
-
-    def test_single_row_round_trip(self):
-        batch, unbatch = as_batch([1.0, 2.0])
-        assert batch.shape == (1, 2)
-        value = unbatch(batch.sum(axis=1))
-        assert value == 3.0 and isinstance(value, float)
-        np.testing.assert_array_equal(unbatch(batch * 2.0), [2.0, 4.0])
-
-    def test_scalar_as_batch_of_one(self):
-        batch, unbatch = as_batch(2.5, ndim=1)
-        assert batch.shape == (1,)
-        assert unbatch(batch > 1.0) is True
-
-    def test_wrong_rank(self):
-        with pytest.raises(ShapeError):
-            as_batch(np.zeros((2, 2, 2)))
-        with pytest.raises(ShapeError):
-            as_batch(1.0)

@@ -210,4 +210,4 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predict_parts(model, np.zeros((1, 5)))
         with pytest.raises(ShapeError):
-            predict_parts(model, np.zeros(3))
+            predict_parts(model, np.zeros(4))

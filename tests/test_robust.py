@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robustpred.datagen import SyntheticConfig, generate_linear
-from robustpred.gate import SingleClassError, is_outlier
+from robustpred.gate import SingleClassError, delta_stat, is_outlier, mahalanobis_stat, prob_outlier
 from robustpred.linalg import ShapeError
 from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_parts, predict_robust
 
@@ -86,8 +86,6 @@ class TestAdaptiveWeights:
         direction = np.ones(3)
         base = outlier_probability(model, model.x_mean + direction)
         assert 0.0 < base < 1.0
-        from robustpred.gate import delta_stat
-
         d1 = delta_stat(model.region, model.imputer, direction)
         scale = model.gate.delta0 / d1
         x = model.x_mean + scale * direction
@@ -181,3 +179,48 @@ def test_conditional_interpolation_qualitative():
     mean = {k: sums[k] / counts for k in sums}
     assert mean["rob"][1] < mean["opt"][1]  # tail: robust beats optimistic
     assert mean["rob"][0] < mean["con"][0]  # near zero: robust beats conservative
+
+
+D, Q = 3, 1  # dimensions of the model_and_data fixture
+# entry point -> (call on the model, shape of one input, shape of its output)
+SHAPE_CONTRACT = {
+    "Imputer.impute": (lambda m, x: m.imputer.impute(x), (D,), (Q,)),
+    "mahalanobis_stat": (lambda m, z: mahalanobis_stat(m.region, z), (Q,), ()),
+    "is_outlier": (lambda m, z: is_outlier(m.region, z), (Q,), ()),
+    "delta_stat": (lambda m, x: delta_stat(m.region, m.imputer, x), (D,), ()),
+    "prob_outlier": (lambda m, delta: prob_outlier(m.gate, delta), (), ()),
+    "predict_parts": (predict_parts, (D,), ()),
+    "predict_robust": (predict_robust, (D,), ()),
+    "outlier_probability": (outlier_probability, (D,), ()),
+    "adaptive_weights": (adaptive_weights, (D,), (D,)),
+}
+
+
+class TestShapeContract:
+    """One row gives a numpy scalar (a vector where one row's output is a
+    vector) and an n-row batch an array, from the same numpy code."""
+
+    @pytest.mark.parametrize("name", SHAPE_CONTRACT)
+    def test_one_row_or_a_batch(self, model_and_data, name):
+        model, *_ = model_and_data
+        call, in_shape, out_shape = SHAPE_CONTRACT[name]
+        rows = np.abs(np.random.default_rng(5).normal(size=(4,) + in_shape)) * 3.0
+        batch = call(model, rows)
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        for i, row in enumerate(rows):
+            single = call(model, row)
+            single = single if isinstance(single, tuple) else (single,)
+            for one, many in zip(single, batch, strict=True):
+                assert isinstance(one, np.ndarray if out_shape else np.generic)
+                assert np.shape(one) == out_shape
+                assert isinstance(many, np.ndarray) and many.shape == (4,) + out_shape
+                np.testing.assert_allclose(one, many[i], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", [n for n, (_, in_shape, _) in SHAPE_CONTRACT.items() if in_shape])
+    @pytest.mark.parametrize("bad", ["0-d", "3-D", "wrong row length", "wrong batch width"])
+    def test_other_shapes_rejected(self, model_and_data, name, bad):
+        model, *_ = model_and_data
+        call, (width,), _ = SHAPE_CONTRACT[name]
+        shape = {"0-d": (), "3-D": (2, 4, width), "wrong row length": (width + 1,), "wrong batch width": (4, width + 1)}[bad]
+        with pytest.raises(ShapeError):
+            call(model, np.ones(shape))
