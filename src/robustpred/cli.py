@@ -89,13 +89,10 @@ def _synthetic_config(args) -> SyntheticConfig:
 
 
 def _write_dataset_csv(path, X, Z, y):
-    names = [f"x{j + 1}" for j in range(X.shape[1])] + [
-        f"z{j + 1}" for j in range(Z.shape[1])
-    ] + ["y"]
-    cols = {f"x{j + 1}": X[:, j] for j in range(X.shape[1])}
-    cols.update({f"z{j + 1}": Z[:, j] for j in range(Z.shape[1])})
+    cols = {f"x{j + 1}": x for j, x in enumerate(X.T)}
+    cols.update({f"z{j + 1}": z for j, z in enumerate(Z.T)})
     cols["y"] = y
-    dataio.write_csv(path, names, cols)
+    dataio.write_csv(path, list(cols), cols)
 
 
 def cmd_simulate(args) -> int:
@@ -196,18 +193,13 @@ def cmd_evaluate(args) -> int:
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["predictor,mse,mse_inlier,mse_outlier,n_inlier,n_outlier,delta_inlier_pct,delta_outlier_pct"]
-    rows, _ = evalkit.compare_predictors(model, X, Z, y)
-    for name, rep, d_in, d_out in rows:
-        def f(v):
-            return fmt_float(v) if v is not None and not np.isnan(v) else ""
-
-        lines.append(
-            f"{name},{f(rep.mse)},{f(rep.mse_in)},{f(rep.mse_out)},"
-            f"{rep.n_in},{rep.n_out},{f(d_in)},{f(d_out)}"
-        )
-    out.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    rows = [
+        (name, rep.mse, rep.mse_in, rep.mse_out, rep.n_in, rep.n_out, d_in, d_out)
+        for name, rep, d_in, d_out in evalkit.compare_predictors(model, X, Z, y)[0]
+    ]
+    header = "predictor,mse,mse_inlier,mse_outlier,n_inlier,n_outlier,delta_inlier_pct,delta_outlier_pct"
+    dataio.write_table(out, header.split(","), rows)
+    print(out.read_text(), end="")
     print(f"dropped rows: {ds.n_dropped}")
     return EXIT_OK
 
@@ -226,43 +218,29 @@ def cmd_experiment(args) -> int:
         cfg, args.n_train, args.n_test, args.n_runs, args.alpha, z_bin_edges=edges
     )
     if table.failed_runs:
-        failed = [f"{i},{msg}" for i, msg in table.failed_runs]
-        (out / "failed_runs.csv").write_text("run,reason\n" + "\n".join(failed) + "\n")
+        dataio.write_table(out / "failed_runs.csv", ["run", "reason"], table.failed_runs)
         if len(table.failed_runs) == args.n_runs:
             raise ValidationError(f"no run completed; reasons in {out / 'failed_runs.csv'}")
 
-    lines = [
+    dataio.write_table(
+        out / "delta_table.csv",
         "predictor,mean_delta_inlier_pct,q25_inlier,median_inlier,q75_inlier,"
-        "mean_delta_outlier_pct,q25_outlier,median_outlier,q75_outlier"
+        "mean_delta_outlier_pct,q25_outlier,median_outlier,q75_outlier".split(","),
+        [(row.name, *row.inlier.values(), *row.outlier.values()) for row in table.rows],
+    )
+    per_run = [
+        (run, row.name, d_in, d_out)
+        for row in table.rows
+        for run, d_in, d_out in zip(table.runs, row.delta_in_runs, row.delta_out_runs)
     ]
-    per_run = ["run,predictor,delta_inlier_pct,delta_outlier_pct"]
-    for row in table.rows:
-        i, o = row.inlier, row.outlier
-        lines.append(
-            f"{row.name},{fmt_float(i['mean'])},{fmt_float(i['q25'])},{fmt_float(i['median'])},{fmt_float(i['q75'])},"
-            f"{fmt_float(o['mean'])},{fmt_float(o['q25'])},{fmt_float(o['median'])},{fmt_float(o['q75'])}"
-        )
-        for r, (d_in, d_out) in enumerate(zip(row.delta_in_runs, row.delta_out_runs)):
-            per_run.append(f"{r},{row.name},{fmt_float(d_in)},{fmt_float(d_out)}")
-    (out / "delta_table.csv").write_text("\n".join(lines) + "\n")
-    (out / "per_run.csv").write_text("\n".join(per_run) + "\n")
-
+    dataio.write_table(out / "per_run.csv", ["run", "predictor", "delta_inlier_pct", "delta_outlier_pct"], per_run)
     if curves is not None:
-        names = list(curves.mse)
-        header = "z_center," + ",".join(
-            f"mse_{n},count_{n}" for n in names
-        )
-        rows = [header]
-        for b, center in enumerate(curves.centers):
-            cells = [fmt_float(center)]
-            for n in names:
-                v = curves.mse[n][b]
-                cells.append("" if np.isnan(v) else fmt_float(v))
-                cells.append(str(int(curves.counts[n][b])))
-            rows.append(",".join(cells))
-        (out / "curves.csv").write_text("\n".join(rows) + "\n")
+        # one column of bin centres, then each curve's MSE and row count
+        columns = [c for name, mse in curves.mse.items() for c in (mse, curves.counts[name])]
+        header = ["z_center"] + [f"{col}_{name}" for name in curves.mse for col in ("mse", "count")]
+        dataio.write_table(out / "curves.csv", header, zip(curves.centers, *columns))
 
-    print("\n".join(lines))
+    print((out / "delta_table.csv").read_text(), end="")
     print(f"outputs written to {out}")
     return EXIT_OK
 

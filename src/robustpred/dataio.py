@@ -50,6 +50,18 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _cell(v) -> str:
+    """The text of one CSV cell: text as is, a missing value (None or NaN)
+    empty, an integer as its digits and any other number by ``fmt_float``."""
+    if isinstance(v, str):
+        return v
+    if v is None or v != v:
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return fmt_float(v)
+
+
 @dataclass(frozen=True)
 class RawTable:
     """Column-oriented numeric table; gaps are NaN. Dates, when present, are
@@ -186,13 +198,23 @@ def write_csv(path, names, columns, dates=None) -> None:
                 chunk = values[start : start + _WRITE_CHUNK_ROWS]
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
             return
-        n = len(columns[names[0]])
-        for i in range(n):
+        for i in range(len(columns[names[0]])):
             row = [dates[i]] if dates is not None else []
-            for name in names:
-                v = columns[name][i]
-                row.append("" if isinstance(v, float) and math.isnan(v) else fmt_float(v))
-            writer.writerow(row)
+            writer.writerow(row + [_cell(columns[name][i]) for name in names])
+
+
+def write_table(path, header, rows) -> None:
+    """Write a report table: the ``header`` row, then ``rows`` of cells
+    spelled by ``_cell``, with the csv module's quoting and ``\\n`` line
+    ends."""
+    with open(path, "w", newline="") as fh:
+        minimal = csv.writer(fh, lineterminator="\n")
+        # before Python 3.13 the csv module quotes a "\r" only when it is in
+        # the line terminator, and its reader would end the row there
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in itertools.chain([header], rows):
+            cells = [_cell(v) for v in row]
+            (quote_all if any("\r" in c for c in cells) else minimal).writerow(cells)
 
 
 @dataclass(frozen=True)

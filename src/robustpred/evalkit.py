@@ -121,7 +121,8 @@ class DeltaRow:
 @dataclass(frozen=True)
 class DeltaTable:
     rows: tuple
-    failed_runs: tuple = ()
+    runs: tuple  # the completed Monte Carlo runs, in the order of each row's deltas
+    failed_runs: tuple = ()  # (run, reason) for each of the others
 
     def row(self, name: str) -> DeltaRow:
         for r in self.rows:
@@ -171,7 +172,7 @@ def run_mc_experiment(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     deltas = {name: ([], []) for name in PREDICTORS}
-    failed = []
+    completed, failed = [], []
 
     curve_names = PREDICTORS + ("oracle",)
     want_curves = z_bin_edges is not None
@@ -196,6 +197,7 @@ def run_mc_experiment(
             continue
         X_te, Z_te, y_te = _generate(cfg, n_test, cfg.seed + 2 * i + 2)
         compared, err2 = compare_predictors(model, X_te, Z_te, y_te)
+        completed.append(i)
         for name, _, d_in, d_out in compared:
             deltas[name][0].append(d_in)
             deltas[name][1].append(d_out)
@@ -215,14 +217,9 @@ def run_mc_experiment(
         del err2
 
     rows = tuple(
-        DeltaRow(
-            name=name,
-            delta_in_runs=np.asarray(deltas[name][0]),
-            delta_out_runs=np.asarray(deltas[name][1]),
-        )
-        for name in PREDICTORS
+        DeltaRow(name, np.asarray(d_in), np.asarray(d_out)) for name, (d_in, d_out) in deltas.items()
     )
-    table = DeltaTable(rows=rows, failed_runs=tuple(failed))
+    table = DeltaTable(rows=rows, runs=tuple(completed), failed_runs=tuple(failed))
     curves = None
     if want_curves:
         mse = {

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,40 @@ class TestExperiment:
         failed = (out / "failed_runs.csv").read_text().splitlines()
         assert failed[0] == "run,reason" and [l.split(",")[0] for l in failed[1:]] == ["0", "1", "2"]
         assert not (out / "delta_table.csv").exists()
+
+    def test_per_run_names_monte_carlo_runs(self, tmp_path):
+        from robustpred.datagen import SyntheticConfig
+        from robustpred.evalkit import run_mc_experiment
+
+        out = tmp_path / "e"
+        assert run("experiment", "--n-runs", "12", "--n-test", "500", "--seed", "1",
+                   "--out", str(out)) == EXIT_OK
+        with open(out / "failed_runs.csv", newline="") as fh:
+            failed = {int(r[0]) for r in list(csv.reader(fh))[1:]}
+        with open(out / "per_run.csv", newline="") as fh:
+            per_run = list(csv.reader(fh))[1:]
+        assert failed == {6, 10}  # single-class training samples at this seed
+        assert {int(r[0]) for r in per_run} == set(range(12)) - failed
+        # run i's deltas are the last ones of the experiment that stops after run i
+        for run_index, name, d_in, d_out in per_run:
+            table, _ = run_mc_experiment(SyntheticConfig(seed=1), 100, 500, int(run_index) + 1, 0.1)
+            row = table.row(name)
+            assert (float(d_in), float(d_out)) == (row.delta_in_runs[-1], row.delta_out_runs[-1])
+
+    def test_failed_run_reason_is_quoted(self, tmp_path, monkeypatch):
+        import robustpred.evalkit as evalkit
+
+        reason = 'gate failed: b0, b1 "diverged"'
+
+        def failing_fit(*args):
+            raise ValueError(reason)
+
+        monkeypatch.setattr(evalkit, "fit_robust", failing_fit)
+        out = tmp_path / "e"
+        assert run("experiment", "--n-runs", "3", "--n-test", "100", "--out", str(out)) == EXIT_VALIDATION
+        with open(out / "failed_runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["run", "reason"], ["0", reason], ["1", reason], ["2", reason]]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_z_bins_rejected_for_poly_process(self, tmp_path, capsys, source):

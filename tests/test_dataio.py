@@ -15,6 +15,7 @@ from robustpred.dataio import (
     save_model,
     split_chronological,
     write_csv,
+    write_table,
 )
 from robustpred.robust import fit_robust, predict_robust
 
@@ -162,6 +163,17 @@ class TestReadCsvEdgeCases:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(CsvParseError, match="no date column 'date' in the header"):
             read_csv(p, date_col="date")
+
+
+class TestWriteTable:
+    def test_cells_quoting_and_line_ends(self, tmp_path):
+        p = tmp_path / "t.csv"
+        rows = [("a,b", 0.1, np.int64(3)), ('say "hi"', np.nan, 7), ("c\rd", None, 0)]
+        write_table(p, ["name", "value", "count"], rows)
+        # a row holding a "\r" has every cell quoted
+        assert p.read_bytes() == (
+            b'name,value,count\n"a,b",0.10000000000000001,3\n"say ""hi""",,7\n"c\rd","","0"\n'
+        )
 
 
 class TestBuildLagged:

@@ -160,6 +160,7 @@ class TestRunMcExperiment:
         fitted = [i for i in range(n_runs) if i not in failed]
         assert [seed for n, seed in calls if n == n_test] == [cfg.seed + 2 * i + 2 for i in fitted]
         assert len(calls) == n_runs + len(fitted)
+        assert table.runs == tuple(fitted)
 
 
 class TestConditionalMseCurve:

@@ -3,7 +3,8 @@ points agree with their batch rows, adaptive weights stay on the
 optimistic-conservative segment, a saved model loads back bit for bit, and
 the gate fit rejects bad arrays. The moment-only fits keep the paper's
 invariants on random full-rank problems. The CSV reader, writer and lag
-builder agree with per-cell and per-window reference loops."""
+builder agree with per-cell and per-window reference loops, and report
+tables read back cell for cell."""
 
 import csv
 import io
@@ -25,6 +26,7 @@ from robustpred.dataio import (
     read_csv,
     save_model,
     write_csv,
+    write_table,
 )
 from robustpred.gate import SingleClassError, fit_gate
 from robustpred.linalg import ShapeError, ValidationError, accumulate_moments
@@ -276,6 +278,54 @@ def test_write_csv_bytes_match_reference(tmp_path_factory, n, branch, seed, k):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_csv(path, names, columns, dates=dates)
     assert path.read_bytes() == reference_csv_bytes(names, columns, dates)
+
+
+TEXT = st.text(st.sampled_from(["a", "Z", "1", " ", ".", ",", '"', "'", "\n", "\r", "\t"]))
+NUMPY_INTS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+)
+TABLE_CELLS = st.one_of(
+    TEXT,
+    st.floats(allow_subnormal=True, width=64),
+    st.floats(allow_subnormal=True, width=64).map(np.float64),
+    st.sampled_from([math.nan, -math.nan, np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324]),
+    st.none(),
+    st.integers(-(2**70), 2**70),
+    NUMPY_INTS,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.lists(TEXT, min_size=k, max_size=k),
+                        st.lists(st.lists(TABLE_CELLS, min_size=k, max_size=k), max_size=8))
+))
+def test_write_table_cells_read_back(tmp_path_factory, case):
+    header, rows = case
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, rows)
+    with open(path, newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == header and len(back) == len(rows) + 1
+    for row, got in zip(rows, back[1:]):
+        assert len(got) == len(row)
+        for v, cell in zip(row, got):
+            if isinstance(v, str):
+                assert cell == v
+            elif v is None or v != v:
+                assert cell == ""
+            elif isinstance(v, (int, np.integer)):
+                assert cell == str(int(v))
+            else:
+                assert bits(float(cell)) == bits(v)
+    # each record ends in "\n"; any other "\n" or "\r" is inside a text cell
+    raw = path.read_bytes().decode()
+    text = [v for v in header + [v for row in rows for v in row] if isinstance(v, str)]
+    assert raw.endswith("\n")
+    assert raw.count("\n") == len(rows) + 1 + sum(t.count("\n") for t in text)
+    assert raw.count("\r") == sum(t.count("\r") for t in text)
 
 
 def reference_read_csv(path):
