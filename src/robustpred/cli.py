@@ -1,14 +1,14 @@
 """Command-line interface: simulate | fit | predict | evaluate | experiment.
 
-Every command is deterministic given its effective configuration, which is
-echoed into the output directory as ``config_effective.txt`` for
-reproducibility. ``build_parser`` declares every setting once: its flag,
-type, choices and default. A ``--config`` file's ``key=value`` lines are read
-by the same subcommand parser as ``--key=value`` flags placed ahead of the
-command line's own, so a flag given on the command line overrides the file's
-value, which overrides the default.
+Every command is deterministic given its settings. ``simulate``, ``fit`` and
+``experiment`` echo the settings they were given into ``config_effective.txt``,
+which replays the command as a ``--config`` file. ``build_parser`` declares
+every setting once: its flag, type, choices and default. A ``--config``
+file's ``key=value`` lines are read by the same subcommand parser as
+``--key=value`` flags placed ahead of the command line's own, so a flag given
+on the command line overrides the file's value, which overrides the default.
 
-Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
+Exit codes: 0 success, 2 bad input, usage or path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evalkit
-from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
-from .dataio import CsvParseError, LagSpec, ModelFormatError, fmt_float
-from .gate import SingleClassError
+from .datagen import PolyConfig, SyntheticConfig, generate_linear, generate_poly
+from .dataio import CsvParseError, LagSpec, fmt_float
 from .linalg import ShapeError, ValidationError
 from .robust import fit_robust, predict_parts
 
@@ -31,10 +30,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-FEATURE_MAPS = ("none", "quadratic")
-# argparse's bookkeeping is not echoed, and neither are paths, so reruns into
-# another directory stay byte-identical
-_NOT_ECHOED = {"out", "model_out", "data", "config", "func", "parser", "subcommand", "given"}
+# paths are not echoed, so reruns into another directory stay byte-identical
+_NOT_ECHOED = {"out", "model_out", "data", "config"}
 
 
 def _config_flags(path, parser) -> list:
@@ -68,10 +65,11 @@ class _StoreGiven(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
-def _echo_config(out_dir: Path, args, keys) -> None:
+def _echo_config(out_dir: Path, args) -> None:
+    """Write the given settings, paths left out, as a config file that replays the command."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    settings = {k.replace("_", "-"): getattr(args, k) for k in keys if k not in _NOT_ECHOED}
-    lines = [f"{k}={v}" for k, v in sorted(settings.items()) if v is not None]
+    settings = {k.replace("_", "-"): getattr(args, k) for k in args.given - _NOT_ECHOED}
+    lines = [f"{k}={v}" for k, v in sorted(settings.items())]
     (out_dir / "config_effective.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -98,7 +96,7 @@ def _write_dataset_csv(path, X, Z, y):
 def cmd_simulate(args) -> int:
     cfg = _synthetic_config(args)
     out = Path(args.out)
-    _echo_config(out, args, args.given)
+    _echo_config(out, args)
     gen = generate_poly if isinstance(cfg, PolyConfig) else generate_linear
     _write_dataset_csv(out / "train.csv", *gen(cfg))
     if args.n_test > 0:
@@ -108,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 
 def _load_dataset(args, feature_map):
-    """Read a CSV and assemble (X_raw, Z, y) per the schema settings.
+    """Read a CSV into a Dataset per the schema settings, X mapped by ``feature_map``.
 
     ``--lag`` builds every column from ``--nox-col`` and ``--o3-col``, so it
     rules out the column flags, and those two flags need it.
@@ -127,23 +125,21 @@ def _load_dataset(args, feature_map):
         if not (args.x_cols and args.z_cols and args.y_col):
             raise ValidationError("--x-cols, --z-cols and --y-col are required without --lag")
         ds = dataio.dataset_from_table(table, args.x_cols.split(","), args.z_cols.split(","), args.y_col)
-    X = feature_map_quadratic(ds.X) if feature_map == "quadratic" else ds.X
-    return X, ds.Z, ds.y, ds
+    return replace(ds, X=dataio.FEATURE_MAPS[feature_map](ds.X))
 
 
 def cmd_fit(args) -> int:
-    X, Z, y, ds = _load_dataset(args, args.feature_map)
-    model = fit_robust(X, Z, y, args.alpha)
+    ds = _load_dataset(args, args.feature_map)
+    model = fit_robust(ds.X, ds.Z, ds.y, args.alpha)
     model_path = Path(args.model_out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, model_path, feature_map=args.feature_map)
-    # every setting, defaults included: the model file depends on all of them
-    _echo_config(model_path.parent, args, vars(args))
+    _echo_config(model_path.parent, args)
 
     n_out = model.gate.n_outliers
     report = [
-        f"n={X.shape[0]} d={X.shape[1]} q={Z.shape[1]} alpha={fmt_float(args.alpha)}",
-        f"labels: {n_out} outliers, {X.shape[0] - n_out} inliers",
+        f"n={ds.n} d={ds.X.shape[1]} q={ds.Z.shape[1]} alpha={fmt_float(args.alpha)}",
+        f"labels: {n_out} outliers, {ds.n - n_out} inliers",
         f"gate: b0={fmt_float(model.gate.b0)} b1={fmt_float(model.gate.b1)}"
         f" converged={model.gate.converged} cross_entropy={fmt_float(model.gate.cross_entropy)}",
         f"constraint residual: {fmt_float(model.w_con.constraint_residual)}"
@@ -163,14 +159,14 @@ def cmd_predict(args) -> int:
     model, feature_map = dataio.load_model(args.model)
     table = dataio.read_csv(args.data, date_col=args.date_col)
     x_cols = args.x_cols.split(",") if args.x_cols else list(table.names)
+    if not table.n:
+        raise CsvParseError(f"{args.data}: no data rows")
     X = np.column_stack([table.column(c) for c in x_cols])
     gaps = np.argwhere(~np.isfinite(X))
     if gaps.size:
         r, c = gaps[0]
         raise CsvParseError(f"{args.data}: missing or non-finite cell at row {r + 1}, column {x_cols[c]}")
-    if feature_map == "quadratic":
-        X = feature_map_quadratic(X)
-    yhat, p, delta, _, _ = predict_parts(model, X)
+    yhat, p, delta, _, _ = predict_parts(model, dataio.FEATURE_MAPS[feature_map](X))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(out, ["prediction", "p_outlier", "delta"], {"prediction": yhat, "p_outlier": p, "delta": delta})
@@ -180,22 +176,17 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, feature_map = dataio.load_model(args.model)
-    if args.feature_map not in (None, feature_map):
-        raise ValidationError(
-            f"--feature-map {args.feature_map} does not match the feature map "
-            f"{feature_map} that {args.model} was fitted with"
-        )
-    X, Z, y, ds = _load_dataset(args, feature_map)
-    if X.shape[1] != model.x_mean.shape[0] or Z.shape[1] != model.region.q:
+    ds = _load_dataset(args, feature_map)
+    if ds.X.shape[1] != model.x_mean.shape[0] or ds.Z.shape[1] != model.region.q:
         raise ShapeError(
-            f"test schema ({X.shape[1]}, {Z.shape[1]}) does not match model "
+            f"test schema ({ds.X.shape[1]}, {ds.Z.shape[1]}) does not match model "
             f"dimensions ({model.x_mean.shape[0]}, {model.region.q})"
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         (name, rep.mse, rep.mse_in, rep.mse_out, rep.n_in, rep.n_out, d_in, d_out)
-        for name, rep, d_in, d_out in evalkit.compare_predictors(model, X, Z, y)[0]
+        for name, rep, d_in, d_out in evalkit.compare_predictors(model, ds.X, ds.Z, ds.y)[0]
     ]
     header = "predictor,mse,mse_inlier,mse_outlier,n_inlier,n_outlier,delta_inlier_pct,delta_outlier_pct"
     dataio.write_table(out, header.split(","), rows)
@@ -211,7 +202,7 @@ def cmd_experiment(args) -> int:
     if poly and "z_bins" in args.given:
         raise ValidationError("--z-bins applies only to --process linear")
     out = Path(args.out)
-    _echo_config(out, args, args.given)
+    _echo_config(out, args)
 
     edges = None if poly else np.linspace(-12.0, 12.0, args.z_bins + 1)
     table, curves = evalkit.run_mc_experiment(
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     config_flag(p)
     p.add_argument("--data", required=True, help="training CSV")
     schema_flags(p)
-    p.add_argument("--feature-map", choices=FEATURE_MAPS, default="none")
+    p.add_argument("--feature-map", choices=dataio.FEATURE_MAPS, default="none")
     p.add_argument("--alpha", type=float, default=0.1, help="tail-region mass")
     p.add_argument("--model-out", required=True, help="model file path")
 
@@ -325,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="test CSV")
     schema_flags(p)
-    p.add_argument("--feature-map", choices=FEATURE_MAPS, help="default: the model's; another is an error")
     p.add_argument("--out", required=True, help="report CSV path")
 
     p = command("experiment", cmd_experiment, "Monte Carlo comparison of all predictors")
@@ -350,13 +340,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
-    except (ValidationError, ShapeError, CsvParseError, ModelFormatError,
-            SingleClassError, ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
+    # a LinAlgError is a ValueError too, so the numerical clause comes first
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -18,12 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .datagen import feature_map_quadratic
 from .gate import LogisticGate, OutlierRegion
 from .predictors import Imputer, LinearPredictor
 from .robust import RobustModel
 
 MODEL_FORMAT = "robustpred-model"
 MODEL_VERSION = 1
+# the feature maps a model can be fitted on, by the name its file stores
+FEATURE_MAPS = {"none": np.asarray, "quadratic": feature_map_quadratic}
 _GAP_TOKENS = {"", "na", "nan", "null", "none"}
 # A gap cell with the comma or line break before it: empty next to a comma,
 # blank, or a gap token in any ASCII case with spaces or tabs around it. A
@@ -77,7 +80,7 @@ class RawTable:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
-            raise KeyError(f"no column named {name!r}; have {list(self.names)}")
+            raise CsvParseError(f"no column named {name!r}; have {list(self.names)}")
         return self.columns[name]
 
 
@@ -375,8 +378,8 @@ def save_model(model: RobustModel, path, feature_map: str = "none") -> None:
 def load_model(path):
     """Load a model file; returns (RobustModel, feature_map).
 
-    Rejects unknown formats, future versions and truncated files outright --
-    no partial models.
+    Rejects unknown formats, future versions, truncated files and feature
+    maps not in ``FEATURE_MAPS`` outright -- no partial models.
     """
     kv = {}
     with open(path) as fh:
@@ -413,6 +416,9 @@ def load_model(path):
         )
     if kv.get("end") != "1":
         raise ModelFormatError(f"{path}: file is truncated")
+    feature_map = kv.get("feature_map", "none")
+    if feature_map not in FEATURE_MAPS:
+        raise ModelFormatError(f"{path}: unknown feature_map {feature_map!r}")
 
     d, q = value("d", int), value("q", int)
     alpha = value("alpha")
@@ -443,4 +449,4 @@ def load_model(path):
     for key, shape in (("x_mean", (d,)), ("w_opt", (d,)), ("w_con", (d,)), ("z_mean", (q,)), ("gmat", (q, d)), ("minv", (q, q))):
         if stored[key].shape != shape:
             raise ModelFormatError(f"{path}: inconsistent dimensions: {key} has shape {stored[key].shape}, expected {shape}")
-    return model, kv.get("feature_map", "none")
+    return model, feature_map

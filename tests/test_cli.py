@@ -46,6 +46,12 @@ class TestSimulate:
         header = (out / "train.csv").read_text().splitlines()[0]
         assert header == "x1,x2,x3,z1,z2,y"
 
+    def test_config_echo_replays(self, tmp_path):
+        a = simulate(tmp_path / "a", n=200, n_test=100)
+        assert run("simulate", "--config", str(a / "config_effective.txt"), "--out", str(tmp_path / "b")) == EXIT_OK
+        for name in ("train.csv", "test.csv", "config_effective.txt"):
+            assert (a / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("bogus-key=1\n")
@@ -143,6 +149,49 @@ class TestFit:
         assert "alpha=0.10000000000000001\n" in capsys.readouterr().out
         echoed = (model.parent / "config_effective.txt").read_text().splitlines()
         assert "alpha=0.1" in echoed and "alpha=0.5" not in echoed
+
+    def test_config_echo_replays(self, tmp_path):
+        out = simulate(tmp_path)
+        first, second = tmp_path / "fit" / "model.txt", tmp_path / "fit2" / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--alpha", "0.2",
+                   "--model-out", str(first)) == EXIT_OK
+        echoed = first.parent / "config_effective.txt"
+        # the given settings only: a default such as --nox-col would need --lag
+        assert echoed.read_text() == "alpha=0.2\nx-cols=x1,x2,x3\ny-col=y\nz-cols=z1\n"
+        assert run("fit", "--config", str(echoed), "--data", str(out / "train.csv"),
+                   "--model-out", str(second)) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_column_named(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        capsys.readouterr()
+        assert run("fit", "--data", str(out / "train.csv"), "--x-cols", "x1,x9", "--z-cols", "z1",
+                   "--y-col", "y", "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: no column named 'x9'; have ['x1', 'x2', 'x3', 'z1', 'y']\n"
+
+    def test_linalg_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        import robustpred.cli as cli
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli, "fit_robust", singular)
+        out = simulate(tmp_path)
+        capsys.readouterr()
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA,
+                   "--model-out", str(tmp_path / "m.txt")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical error: singular matrix\n"
+
+    @pytest.mark.parametrize("bad", ["data-is-a-directory", "model-out-under-a-file"])
+    def test_unusable_path_is_one_error_line(self, tmp_path, capsys, bad):
+        out = simulate(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        data = out if bad == "data-is-a-directory" else out / "train.csv"
+        model = tmp_path / "a_file" / "model.txt" if bad == "model-out-under-a-file" else tmp_path / "m.txt"
+        capsys.readouterr()
+        assert run("fit", "--data", str(data), *SCHEMA, "--model-out", str(model)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_fit_config_key(self, tmp_path, capsys):
         out = simulate(tmp_path)
@@ -263,15 +312,16 @@ class TestEvaluate:
                    *SCHEMA, "--out", str(tmp_path / "r.csv")) == EXIT_OK
         assert "dropped rows: 1\n" in capsys.readouterr().out
 
-    def test_feature_map_other_than_model_rejected(self, tmp_path, fitted, capsys):
+    def test_feature_map_flag_rejected(self, tmp_path, fitted, capsys):
+        # the model file alone names the feature map: naming it again, even
+        # as the model's own "none", is an argparse error
         out, model = fitted
-        argv = ("evaluate", "--model", str(model), "--data", str(out / "test.csv"), *SCHEMA,
-                "--out", str(tmp_path / "r.csv"))
-        assert run(*argv, "--feature-map", "quadratic") == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "quadratic" in err and "none" in err
+        capsys.readouterr()
+        for name in ("quadratic", "none"):
+            assert run("evaluate", "--model", str(model), "--data", str(out / "test.csv"), *SCHEMA,
+                       "--feature-map", name, "--out", str(tmp_path / "r.csv")) == EXIT_VALIDATION
+            assert "unrecognized arguments: --feature-map" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
-        assert run(*argv, "--feature-map", "none") == EXIT_OK
 
 
 class TestPredict:
@@ -308,6 +358,18 @@ class TestPredict:
         assert "row 3, column x1" in capsys.readouterr().err
         assert not preds.exists()
 
+    def test_no_data_rows(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--model-out", str(model)) == EXIT_OK
+        data = tmp_path / "empty.csv"
+        data.write_text("x1,x2,x3\n")
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+        assert not preds.exists()
+
 
 class TestExperiment:
     def test_outputs_and_determinism(self, tmp_path):
@@ -341,6 +403,14 @@ class TestExperiment:
                    "--out", str(tmp_path / "e")) == EXIT_OK
         echoed = (tmp_path / "e" / "config_effective.txt").read_text()
         assert "rho=0.7" in echoed
+
+    def test_config_echo_replays(self, tmp_path):
+        first, second = tmp_path / "e1", tmp_path / "e2"
+        assert run("experiment", "--n-train", "100", "--n-test", "1000", "--n-runs", "2",
+                   "--z-bins", "12", "--seed", "13", "--out", str(first)) == EXIT_OK
+        assert run("experiment", "--config", str(first / "config_effective.txt"), "--out", str(second)) == EXIT_OK
+        for name in ("delta_table.csv", "per_run.csv", "curves.csv", "config_effective.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_simulate_key_n_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

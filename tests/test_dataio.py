@@ -308,6 +308,14 @@ class TestModelSerialization:
         _, feature_map = load_model(path)
         assert feature_map == "quadratic"
 
+    def test_unknown_feature_map_rejected(self, tmp_path, fitted_model):
+        path = tmp_path / "m.txt"
+        save_model(fitted_model, path)
+        path.write_text(path.read_text().replace("feature_map=none", "feature_map=cubic"))
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: unknown feature_map 'cubic'"
+
     @pytest.mark.parametrize("key, value", [("x_mean", None), ("y_mean", None), ("gate.b0", None), ("d", "x")])
     def test_bad_key_named_once(self, tmp_path, fitted_model, key, value):
         # value None drops the key's line, any other value replaces it
