@@ -73,6 +73,14 @@ def _echo_config(out_dir: Path, args) -> None:
     (out_dir / "config_effective.txt").write_text("\n".join(lines) + "\n")
 
 
+def _output_path(path) -> Path:
+    """``path`` with its directory created: each command calls this before
+    it reads any input, so an unusable output path fails before the work."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _synthetic_config(args) -> SyntheticConfig:
     """The data process from the flags that were set; the others keep the
     config dataclass's defaults."""
@@ -129,10 +137,9 @@ def _load_dataset(args, feature_map):
 
 
 def cmd_fit(args) -> int:
+    model_path = _output_path(args.model_out)
     ds = _load_dataset(args, args.feature_map)
     model = fit_robust(ds.X, ds.Z, ds.y, args.alpha)
-    model_path = Path(args.model_out)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, model_path, feature_map=args.feature_map)
     _echo_config(model_path.parent, args)
 
@@ -156,6 +163,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out = _output_path(args.out)
     model, feature_map = dataio.load_model(args.model)
     table = dataio.read_csv(args.data, date_col=args.date_col)
     x_cols = args.x_cols.split(",") if args.x_cols else list(table.names)
@@ -167,14 +175,13 @@ def cmd_predict(args) -> int:
         r, c = gaps[0]
         raise CsvParseError(f"{args.data}: missing or non-finite cell at row {r + 1}, column {x_cols[c]}")
     yhat, p, delta, _, _ = predict_parts(model, dataio.FEATURE_MAPS[feature_map](X))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(out, ["prediction", "p_outlier", "delta"], {"prediction": yhat, "p_outlier": p, "delta": delta})
     print(f"wrote {out} ({X.shape[0]} rows)")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    out = _output_path(args.out)
     model, feature_map = dataio.load_model(args.model)
     ds = _load_dataset(args, feature_map)
     if ds.X.shape[1] != model.x_mean.shape[0] or ds.Z.shape[1] != model.region.q:
@@ -182,8 +189,6 @@ def cmd_evaluate(args) -> int:
             f"test schema ({ds.X.shape[1]}, {ds.Z.shape[1]}) does not match model "
             f"dimensions ({model.x_mean.shape[0]}, {model.region.q})"
         )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         (name, rep.mse, rep.mse_in, rep.mse_out, rep.n_in, rep.n_out, d_in, d_out)
         for name, rep, d_in, d_out in evalkit.compare_predictors(model, ds.X, ds.Z, ds.y)[0]

@@ -13,9 +13,9 @@ import numpy as np
 
 from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
 from .gate import is_outlier
-from .linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse
+from .linalg import SecondMoments, ShapeError, ValidationError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
-from .robust import RobustModel, fit_robust, predict_parts
+from .robust import RobustModel, _predict_centered, fit_robust, predict_parts
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,14 @@ def _aligned(X_test, Z_test, y_test):
     return X, Z, y
 
 
-def _split_report(err2, out_mask) -> EvalReport:
+def _split_report(err2, out_mask, in_mask) -> EvalReport:
+    """``in_mask`` is ``~out_mask``, taken once for every predictor."""
     n_out = int(out_mask.sum())
     n_in = int(len(err2) - n_out)
     return EvalReport(
         mse=float(err2.mean()),
         mse_out=float(err2[out_mask].mean()) if n_out else None,
-        mse_in=float(err2[~out_mask].mean()) if n_in else None,
+        mse_in=float(err2[in_mask].mean()) if n_in else None,
         n_out=n_out,
         n_in=n_in,
     )
@@ -67,10 +68,23 @@ def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
     predictor name.
     """
     X, Z, y = _aligned(X_test, Z_test, y_test)
-    robust, _, _, opt, con = predict_parts(model, X)
-    err2 = {"optimistic": (y - opt) ** 2, "conservative": (y - con) ** 2, "robust": (y - robust) ** 2}
+    return _compare(model, predict_parts(model, X), Z, y)
+
+
+def _squared_error(y, pred):
+    """``(y - pred) ** 2`` bit for bit, with one allocation."""
+    e = y - pred
+    e *= e
+    return e
+
+
+def _compare(model: RobustModel, parts, Z, y) -> tuple:
+    """``compare_predictors`` from the ``predict_parts`` tuple of the test x."""
+    robust, _, _, opt, con = parts
+    err2 = {name: _squared_error(y, pred) for name, pred in zip(PREDICTORS, (opt, con, robust))}
     out_mask = is_outlier(model.region, Z)
-    reports = {name: _split_report(e, out_mask) for name, e in err2.items()}
+    in_mask = ~out_mask
+    reports = {name: _split_report(e, out_mask, in_mask) for name, e in err2.items()}
     base = reports["optimistic"]
     rows = [(name, rep, *delta_percent(rep, base)) for name, rep in reports.items()]
     return rows, err2
@@ -149,6 +163,44 @@ def _generate(cfg, n, seed):
     return X, Z, y
 
 
+def _bin_index(z, edges):
+    """``np.digitize(z, edges)`` for strictly increasing ``edges``: 0 below
+    the first edge, ``len(edges)`` from the last edge on, and b + 1 inside
+    bin b, a z on an edge counting in the bin above it.
+
+    The guess from the mean bin width is exact for most rows of uniform
+    edges; each guess is checked against the edges it claims, and a row
+    that fails the check is placed by a binary search.
+    """
+    k = len(edges) - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # any guess is checked below
+        t = z - edges[0]
+        t *= k / (edges[-1] - edges[0])
+    # fmax and fmin send a nan guess to -1, so the integer cast stays defined
+    np.fmin(np.fmax(t, -1.0, out=t), k, out=t)
+    np.floor(t, out=t)
+    idx = t.astype(np.intp)
+    idx += 1
+    padded = np.concatenate(([-np.inf], edges, [np.inf]))
+    ok = padded.take(idx) <= z
+    ok &= z < padded[1:].take(idx)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        idx[bad] = np.searchsorted(edges, z[bad], side="right")
+    return idx
+
+
+def _checked_edges(edges) -> np.ndarray:
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2:
+        raise ValidationError(f"z_bin_edges must be a 1-D array of at least 2 edges, got shape {edges.shape}")
+    if not np.isfinite(edges).all():
+        raise ValidationError("z_bin_edges must be finite")
+    if not (np.diff(edges) > 0).all():
+        raise ValidationError("z_bin_edges must be strictly increasing")
+    return edges
+
+
 def run_mc_experiment(
     cfg: SyntheticConfig,
     n_train: int,
@@ -161,6 +213,12 @@ def run_mc_experiment(
     baseline, with optional conditional-MSE curve accumulation over
     ``z_bin_edges`` (scalar z only, so not for the polynomial process) for
     those three and the oracle.
+
+    ``z_bin_edges`` are at least 2 finite, strictly increasing values; any
+    other edges raise ``ValidationError`` before the first run. Bin b holds
+    the z with ``edges[b] <= z < edges[b + 1]``, as ``np.digitize`` puts
+    them: a z on an inner edge counts in the bin above it, and a z below
+    the first edge or on or above the last one in no bin.
 
     Each run derives its own seeds from the config's master seed (train seed
     = master + 2*i + 1, test seed = master + 2*i + 2) so runs are independent
@@ -180,10 +238,9 @@ def run_mc_experiment(
     if want_curves:
         if isinstance(cfg, PolyConfig):
             raise ShapeError("conditional curves are defined for scalar z only")
-        z_bin_edges = np.asarray(z_bin_edges, dtype=float)
+        z_bin_edges = _checked_edges(z_bin_edges)
         centers = 0.5 * (z_bin_edges[:-1] + z_bin_edges[1:])
-        # np.digitize gives 0 below the first edge, len(edges) from the last
-        # edge on, and b + 1 inside bin b
+        # _bin_index gives b + 1 inside bin b and 0 or len(edges) outside
         n_edges = len(z_bin_edges)
         sq_sums = {name: np.zeros(len(centers)) for name in curve_names}
         counts = np.zeros(len(centers), dtype=int)
@@ -196,7 +253,10 @@ def run_mc_experiment(
             failed.append((i, str(exc)))
             continue
         X_te, Z_te, y_te = _generate(cfg, n_test, cfg.seed + 2 * i + 2)
-        compared, err2 = compare_predictors(model, X_te, Z_te, y_te)
+        # centred once, in place, for the robust parts and the oracle line:
+        # bitwise X_te - x_mean without a second n x d array
+        xc = np.subtract(X_te, model.x_mean, out=X_te)
+        compared, err2 = _compare(model, _predict_centered(model, xc), Z_te, y_te)
         completed.append(i)
         for name, _, d_in, d_out in compared:
             deltas[name][0].append(d_in)
@@ -206,9 +266,9 @@ def run_mc_experiment(
             z_mean = model.region.center
             m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)
             oracle = fit_oracle(m)
-            pred = (X_te - model.x_mean) @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
-            err2["oracle"] = (y_te - pred) ** 2
-            idx = np.digitize(Z_te[:, 0], z_bin_edges)
+            pred = xc @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
+            err2["oracle"] = _squared_error(y_te, pred)
+            idx = _bin_index(Z_te[:, 0], z_bin_edges)
             counts += np.bincount(idx, minlength=n_edges)[1:n_edges]
             for name in curve_names:
                 sq_sums[name] += np.bincount(idx, err2[name], minlength=n_edges)[1:n_edges]

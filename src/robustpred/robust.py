@@ -98,7 +98,12 @@ def predict_parts(model: RobustModel, X) -> tuple:
     products is computed once per row; every other prediction entry point
     reads its result from here.
     """
-    xc = _as_rows(X, model.x_mean.shape[0]) - model.x_mean
+    return _predict_centered(model, _as_rows(X, model.x_mean.shape[0]) - model.x_mean)
+
+
+def _predict_centered(model: RobustModel, xc) -> tuple:
+    """``predict_parts`` on x already centered by ``model.x_mean``, for a
+    caller that reads the centered x again."""
     delta = delta_stat(model.region, model.imputer, xc)
     p = prob_outlier(model.gate, delta)
     opt = xc @ model.w_opt.weights

@@ -193,6 +193,38 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate"])
+    def test_output_under_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        import robustpred.cli as cli
+
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--model-out", str(model)) == EXIT_OK
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "fit_robust", counting(cli.fit_robust))
+        for name in ("read_csv", "load_model"):
+            monkeypatch.setattr(cli.dataio, name, counting(getattr(cli.dataio, name)))
+        (tmp_path / "a_file").write_text("")
+        bad = str(tmp_path / "a_file" / "out.txt")
+        argv = {
+            "fit": ("--data", str(out / "train.csv"), *SCHEMA, "--model-out", bad),
+            "predict": ("--model", str(model), "--data", str(out / "test.csv"), "--x-cols", "x1,x2,x3", "--out", bad),
+            "evaluate": ("--model", str(model), "--data", str(out / "test.csv"), *SCHEMA, "--out", bad),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+
     def test_unknown_fit_config_key(self, tmp_path, capsys):
         out = simulate(tmp_path)
         cfg = tmp_path / "fit.cfg"

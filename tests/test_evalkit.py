@@ -2,9 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustpred.datagen import PolyConfig, SyntheticConfig, generate_linear
 from robustpred.evalkit import (
+    _bin_index,
     _split_report,
     compare_predictors,
     delta_percent,
@@ -12,7 +16,7 @@ from robustpred.evalkit import (
     run_mc_experiment,
 )
 from robustpred.gate import OutlierRegion, is_outlier
-from robustpred.linalg import ShapeError, accumulate_moments
+from robustpred.linalg import ShapeError, ValidationError, accumulate_moments
 from robustpred.predictors import fit_conservative, fit_optimistic
 
 
@@ -23,7 +27,8 @@ def region_for(Z, alpha=0.1):
 
 def split(pred, Z, y, region):
     """The EvalReport of predictions ``pred``, split by the region membership of z."""
-    return _split_report((y - pred) ** 2, is_outlier(region, Z))
+    out = is_outlier(region, Z)
+    return _split_report((y - pred) ** 2, out, ~out)
 
 
 class TestEvaluate:
@@ -226,6 +231,39 @@ class TestConditionalMseCurve:
             expected = np.array([s / c if c else np.nan for s, c in zip(sums[name], counts)])
             assert curves.mse[name].tobytes() == expected.tobytes()
 
+    def test_run_deltas_equal_compare_predictors_on_raw_x(self):
+        # a run centres its test x once and shares it with the oracle line;
+        # each run's deltas stay bitwise those of the public path on raw x
+        from robustpred.robust import fit_robust
+
+        cfg, n_train, n_test, alpha, n_runs = SyntheticConfig(seed=7), 100, 2000, 0.1, 5
+        table, _ = run_mc_experiment(cfg, n_train, n_test, n_runs, alpha, z_bin_edges=np.linspace(-12, 12, 49))
+        assert [i for i, _ in table.failed_runs] == [3]  # a failed run shifts the later ones
+        expected = {name: ([], []) for name in ("optimistic", "conservative", "robust")}
+        for i in table.runs:
+            model = fit_robust(*generate_linear(SyntheticConfig(n=n_train, seed=cfg.seed + 2 * i + 1)), alpha)
+            rows, _ = compare_predictors(model, *generate_linear(SyntheticConfig(n=n_test, seed=cfg.seed + 2 * i + 2)))
+            for name, _, d_in, d_out in rows:
+                expected[name][0].append(d_in)
+                expected[name][1].append(d_out)
+        for name, (d_in, d_out) in expected.items():
+            assert table.row(name).delta_in_runs.tobytes() == np.array(d_in).tobytes()
+            assert table.row(name).delta_out_runs.tobytes() == np.array(d_out).tobytes()
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[], [1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [1.0, 0.0],
+         [0.0, 1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]],
+    )
+    def test_bad_edges_rejected_before_any_run(self, monkeypatch, edges):
+        import robustpred.evalkit as evalkit
+
+        calls = []
+        monkeypatch.setattr(evalkit, "_generate", lambda *a: calls.append(a))
+        with pytest.raises(ValidationError, match="z_bin_edges"):
+            run_mc_experiment(SyntheticConfig(seed=1), 100, 500, 2, 0.1, z_bin_edges=np.array(edges))
+        assert calls == []
+
     def test_vector_z_unsupported(self):
         with pytest.raises(ShapeError, match="scalar z"):
             run_mc_experiment(PolyConfig(n=100, seed=64), 200, 500, 1, 0.2, z_bin_edges=np.linspace(-3, 3, 4))
@@ -239,6 +277,39 @@ class TestConditionalMseCurve:
         assert populated.any()
         assert np.all(curves.mse["oracle"][populated] <= curves.mse["optimistic"][populated])
         assert np.all(curves.mse["oracle"][populated] <= curves.mse["conservative"][populated])
+
+
+@st.composite
+def increasing_edges(draw):
+    """Strictly increasing bin edges: ``linspace(lo, hi, k + 1)`` with k up
+    to 4096, or a random set of distinct finite floats."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4096))
+        lo = draw(st.floats(-1e6, 1e6))
+        hi = lo + draw(st.floats(1e-3, 1e6))
+        edges = np.linspace(lo, hi, k + 1)
+    else:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        edges = np.sort(draw(arrays(np.float64, st.integers(2, 64), elements=finite, unique=True)))
+    edges = edges[np.concatenate(([True], np.diff(edges) > 0))]  # -0.0 and 0.0, or linspace rounding
+    if len(edges) < 2:
+        edges = np.array([0.0, 1.0])
+    return edges
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(increasing_edges())
+def test_bin_index_equals_digitize_on_and_next_to_every_edge(edges):
+    with np.errstate(over="ignore"):  # the next float after the largest is inf
+        z = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-1e300, 1e300, 0.5 * edges[0] + 0.5 * edges[-1]],
+        ])
+    idx = _bin_index(z, edges)
+    assert idx.dtype == np.intp
+    np.testing.assert_array_equal(idx, np.digitize(z, edges))
 
 
 @pytest.fixture(scope="module")
