@@ -2,16 +2,20 @@
 experiment harness, conditional-MSE curves and the excess-MSE identity check.
 
 Independent Monte Carlo runs own derived seeds (master seed plus run index)
-and their reports are merged deterministically by run index.
+and are scored one after another in run index order. One helper thread draws
+the next fitted run's test set while the main thread scores the current run;
+the draws are seeded per run and the scoring is serial, so every output is
+bitwise that of a loop without the helper.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import PolyConfig, SyntheticConfig, feature_map_quadratic, generate_linear, generate_poly
+from .datagen import PolyConfig, SyntheticConfig, _linear, _poly, _quadratic
 from .gate import is_outlier
 from .linalg import SecondMoments, ShapeError, ValidationError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
@@ -72,8 +76,9 @@ def compare_predictors(model: RobustModel, X_test, Z_test, y_test) -> tuple:
 
 
 def _squared_error(y, pred):
-    """``(y - pred) ** 2`` bit for bit, with one allocation."""
-    e = y - pred
+    """``(y - pred) ** 2`` bit for bit, written over ``pred``, which the
+    caller no longer reads."""
+    e = np.subtract(y, pred, out=pred)
     e *= e
     return e
 
@@ -155,12 +160,15 @@ class CurveSet:
 
 
 def _generate(cfg, n, seed):
+    """A run's (X, Z, y): bitwise ``generate_linear``, or the quadratic
+    feature map over ``generate_poly``. It calls datagen's private draws only,
+    because the helper thread runs it, and a public call there would be
+    wrapped by perfbench's span tracer, which keeps one unlocked span stack."""
     cfg = replace(cfg, n=n, seed=seed)
     if isinstance(cfg, PolyConfig):
-        x_raw, Z, y = generate_poly(cfg)
-        return feature_map_quadratic(x_raw), Z, y
-    X, Z, y = generate_linear(cfg)
-    return X, Z, y
+        x_raw, Z, y = _poly(cfg)
+        return _quadratic(x_raw), Z, y
+    return _linear(cfg)
 
 
 def _bin_index(z, edges):
@@ -245,14 +253,9 @@ def run_mc_experiment(
         sq_sums = {name: np.zeros(len(centers)) for name in curve_names}
         counts = np.zeros(len(centers), dtype=int)
 
-    for i in range(n_runs):
-        X_tr, Z_tr, y_tr = _generate(cfg, n_train, cfg.seed + 2 * i + 1)
-        try:
-            model = fit_robust(X_tr, Z_tr, y_tr, alpha)
-        except Exception as exc:  # noqa: BLE001 - failed runs are data, not crashes
-            failed.append((i, str(exc)))
-            continue
-        X_te, Z_te, y_te = _generate(cfg, n_test, cfg.seed + 2 * i + 2)
+    def score(i, model, train, test):
+        X_tr, Z_tr, y_tr = train
+        X_te, Z_te, y_te = test.result()
         # centred once, in place, for the robust parts and the oracle line:
         # bitwise X_te - x_mean without a second n x d array
         xc = np.subtract(X_te, model.x_mean, out=X_te)
@@ -261,7 +264,6 @@ def run_mc_experiment(
         for name, _, d_in, d_out in compared:
             deltas[name][0].append(d_in)
             deltas[name][1].append(d_out)
-
         if want_curves:
             z_mean = model.region.center
             m = accumulate_moments(X_tr - model.x_mean, Z_tr - z_mean, y_tr - model.y_mean)
@@ -269,12 +271,31 @@ def run_mc_experiment(
             pred = xc @ oracle.alpha_w + (Z_te - z_mean) @ oracle.beta_w + model.y_mean
             err2["oracle"] = _squared_error(y_te, pred)
             idx = _bin_index(Z_te[:, 0], z_bin_edges)
-            counts += np.bincount(idx, minlength=n_edges)[1:n_edges]
+            counts[:] += np.bincount(idx, minlength=n_edges)[1:n_edges]
             for name in curve_names:
                 sq_sums[name] += np.bincount(idx, err2[name], minlength=n_edges)[1:n_edges]
-        # the next run's data generation is the peak of memory; do not hold
-        # this run's squared errors through it
-        del err2
+
+    # Run i's test draw goes to the helper once its fit succeeds, and run
+    # i - 1 is scored while the helper draws; the helper's queue runs one
+    # draw at a time, so at most one test set is drawn while one is scored.
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = None
+        for i in range(n_runs):
+            train = _generate(cfg, n_train, cfg.seed + 2 * i + 1)
+            try:
+                model = fit_robust(*train, alpha)
+            except Exception as exc:  # noqa: BLE001 - failed runs are data, not crashes
+                failed.append((i, str(exc)))
+                continue
+            test = helper.submit(_generate, cfg, n_test, cfg.seed + 2 * i + 2)
+            if pending is not None:
+                score(*pending)
+            pending = (i, model, train, test)
+        if pending is not None:
+            score(*pending)
+    finally:
+        helper.shutdown(cancel_futures=True)
 
     rows = tuple(
         DeltaRow(name, np.asarray(d_in), np.asarray(d_out)) for name, (d_in, d_out) in deltas.items()

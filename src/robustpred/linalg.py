@@ -78,7 +78,9 @@ def accumulate_moments(X, Z, y) -> SecondMoments:
     """Accumulate the second-moment blocks of a centered training sample.
 
     Gram blocks are explicitly symmetrized: accumulation order would
-    otherwise break the symmetry invariant in floating point.
+    otherwise break the symmetry invariant in floating point. Finite data of
+    large magnitude can still overflow a block; that raises a
+    ``ValidationError`` naming the block and the column.
     """
     X = as_matrix(X, "X")
     Z = as_matrix(Z, "Z")
@@ -90,16 +92,42 @@ def accumulate_moments(X, Z, y) -> SecondMoments:
         raise ShapeError(
             f"row counts differ: X has {n}, Z has {Z.shape[0]}, y has {y.shape[0]}"
         )
-    sxx = X.T @ X / n
-    szz = Z.T @ Z / n
-    return SecondMoments(
-        sxx=(sxx + sxx.T) / 2.0,
-        szx=Z.T @ X / n,
-        szz=(szz + szz.T) / 2.0,
-        sxy=X.T @ y / n,
-        szy=Z.T @ y / n,
-        syy=float(y @ y / n),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        sxx = X.T @ X / n
+        szz = Z.T @ Z / n
+        m = SecondMoments(
+            sxx=(sxx + sxx.T) / 2.0,
+            szx=Z.T @ X / n,
+            szz=(szz + szz.T) / 2.0,
+            sxy=X.T @ y / n,
+            szy=Z.T @ y / n,
+            syy=float(y @ y / n),
+        )
+    _check_overflow(m)
+    return m
+
+
+def _check_overflow(m: SecondMoments) -> None:
+    """Raise ``ValidationError`` if a moment block of finite data overflowed.
+
+    A column's mean square bounds its mean cross products (Cauchy-Schwarz),
+    so the mean squares name the column when one overflowed.
+    """
+    bad = [b for b in ("sxx", "szx", "szz", "sxy", "szy", "syy") if not np.isfinite(getattr(m, b)).all()]
+    if not bad:
+        return
+    for block, data, squares in (
+        ("sxx", "X", np.diag(m.sxx)),
+        ("szz", "Z", np.diag(m.szz)),
+        ("syy", "y", np.array([m.syy])),
+    ):
+        cols = np.flatnonzero(~np.isfinite(squares))
+        if cols.size:
+            where = "y" if data == "y" else f"{data} column {cols[0]}"
+            raise ValidationError(
+                f"second moment {block}: the mean square of {where} overflows float64; scale the data down"
+            )
+    raise ValidationError(f"second moment {bad[0]}: a mean cross product overflows float64; scale the data down")
 
 
 def pseudoinverse(A) -> np.ndarray:

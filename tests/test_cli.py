@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,25 @@ class TestFit:
         assert run("fit", "--data", str(out / "train.csv"), "--x-cols", "x1,x9", "--z-cols", "z1",
                    "--y-col", "y", "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: no column named 'x9'; have ['x1', 'x2', 'x3', 'z1', 'y']\n"
+
+    def test_overflowing_column_named_without_warning(self, tmp_path, capsys):
+        # finite cells whose squares overflow float64: one error that names the
+        # moment block and the column, and no numpy RuntimeWarning before it
+        out = simulate(tmp_path, n=300)
+        rows = list(csv.reader((out / "train.csv").read_text().splitlines()))
+        for row in rows[1:]:
+            row[0] = repr(float(row[0]) * 1e200)
+        with (tmp_path / "big.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("fit", "--data", str(tmp_path / "big.csv"), *SCHEMA, "--model-out", str(tmp_path / "m.txt"))
+        assert code == EXIT_VALIDATION
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: second moment sxx: the mean square of X column 0 overflows float64; scale the data down\n"
+        )
 
     def test_linalg_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
         import robustpred.cli as cli

@@ -4,6 +4,7 @@ import pytest
 from robustpred.datagen import (
     PolyConfig,
     SyntheticConfig,
+    _ROW_BLOCK,
     _scale_sqrt,
     feature_map_quadratic,
     generate_linear,
@@ -156,7 +157,8 @@ LINEAR_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("n", [1, 7, 1000])
+# the last two n span several row blocks of the scale product in _t_draws
+@pytest.mark.parametrize("n", [1, 7, 1000, 2 * _ROW_BLOCK + 7, 100_000])
 @pytest.mark.parametrize("seed", [0, 3, 12345])
 class TestDrawsMatchFormulas:
     @pytest.mark.parametrize("settings", LINEAR_CONFIGS)
@@ -179,3 +181,10 @@ class TestDrawsMatchFormulas:
         g = rng.standard_normal((n, 2)) @ _scale_sqrt(scale).T
         w = rng.chisquare(4.0, n) / 4.0
         assert_bitwise((sample_t(4.0, scale, n, seed),), (g / np.sqrt(w)[:, None],))
+
+    def test_sample_t_3x3(self, n, seed):
+        scale = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]])
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, 3)) @ _scale_sqrt(scale).T
+        w = rng.chisquare(3.0, n) / 3.0
+        assert_bitwise((sample_t(3.0, scale, n, seed),), (g / np.sqrt(w)[:, None],))

@@ -1,3 +1,4 @@
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,49 @@ class TestRunMcExperiment:
         assert table.runs == tuple(fitted)
 
 
+class TestHelperThread:
+    """Test sets are drawn on one helper thread, which never outlives the call."""
+
+    def test_test_sets_drawn_off_the_main_thread_and_helper_joined(self, monkeypatch):
+        import robustpred.evalkit as evalkit
+
+        on_main = {}
+        generate = evalkit._generate
+
+        def recording(cfg, n, seed):
+            on_main[seed] = threading.current_thread() is threading.main_thread()
+            return generate(cfg, n, seed)
+
+        monkeypatch.setattr(evalkit, "_generate", recording)
+        before = set(threading.enumerate())
+        cfg = SyntheticConfig(seed=7)
+        table, _ = run_mc_experiment(cfg, 100, 500, 5, 0.1, z_bin_edges=np.linspace(-12, 12, 49))
+        assert set(threading.enumerate()) == before
+        assert all(on_main[cfg.seed + 2 * i + 1] for i in range(5))
+        assert not any(on_main[cfg.seed + 2 * i + 2] for i in table.runs)
+
+    @pytest.mark.parametrize("failing_run", [0, 2, 4])
+    def test_helper_exception_surfaces_unchanged(self, monkeypatch, failing_run):
+        import robustpred.evalkit as evalkit
+
+        cfg = SyntheticConfig(seed=7)  # run 3 fails to fit at this seed
+        boom = RuntimeError("test draw failed")
+        generate = evalkit._generate
+
+        def failing(c, n, seed):
+            if seed == cfg.seed + 2 * failing_run + 2:
+                assert threading.current_thread() is not threading.main_thread()
+                raise boom
+            return generate(c, n, seed)
+
+        monkeypatch.setattr(evalkit, "_generate", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as info:
+            run_mc_experiment(cfg, 100, 500, 5, 0.1)
+        assert info.value is boom
+        assert set(threading.enumerate()) == before
+
+
 class TestConditionalMseCurve:
     def test_single_bin_reproduces_overall_mse(self):
         from robustpred.robust import fit_robust, predict_robust
@@ -249,6 +293,36 @@ class TestConditionalMseCurve:
         for name, (d_in, d_out) in expected.items():
             assert table.row(name).delta_in_runs.tobytes() == np.array(d_in).tobytes()
             assert table.row(name).delta_out_runs.tobytes() == np.array(d_out).tobytes()
+
+    def test_curves_equal_serial_recomputation_across_a_failed_run(self):
+        # the helper thread draws test sets ahead; the bin sums and counts
+        # still add up run by run, in run order, as a serial loop over the
+        # public functions does
+        from robustpred.predictors import fit_oracle
+        from robustpred.robust import fit_robust
+
+        cfg, n_train, n_test, alpha, n_runs = SyntheticConfig(seed=7), 100, 3000, 0.1, 5
+        edges = np.linspace(-12, 12, 49)
+        table, curves = run_mc_experiment(cfg, n_train, n_test, n_runs, alpha, z_bin_edges=edges)
+        assert table.runs == (0, 1, 2, 4) and [i for i, _ in table.failed_runs] == [3]
+        k = len(edges)
+        sums = {name: np.zeros(k - 1) for name in curves.mse}
+        counts = np.zeros(k - 1, dtype=int)
+        for i in table.runs:
+            X, Z, y = generate_linear(SyntheticConfig(n=n_train, seed=cfg.seed + 2 * i + 1))
+            Xt, Zt, yt = generate_linear(SyntheticConfig(n=n_test, seed=cfg.seed + 2 * i + 2))
+            model = fit_robust(X, Z, y, alpha)
+            _, err2 = compare_predictors(model, Xt, Zt, yt)
+            oracle = fit_oracle(accumulate_moments(X - model.x_mean, Z - model.region.center, y - model.y_mean))
+            pred = (Xt - model.x_mean) @ oracle.alpha_w + (Zt - model.region.center) @ oracle.beta_w + model.y_mean
+            err2["oracle"] = (yt - pred) ** 2
+            idx = np.digitize(Zt[:, 0], edges)
+            counts += np.bincount(idx, minlength=k)[1:k]
+            for name in sums:
+                sums[name] += np.bincount(idx, err2[name], minlength=k)[1:k]
+        for name in sums:
+            assert curves.counts[name].tobytes() == counts.tobytes()
+            assert curves.mse[name].tobytes() == np.where(counts > 0, sums[name] / np.maximum(counts, 1), np.nan).tobytes()
 
     @pytest.mark.parametrize(
         "edges",

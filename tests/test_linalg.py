@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,24 @@ class TestAccumulateMoments:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             accumulate_moments([[np.nan]], [[0.0]], [0.0])
+
+    @pytest.mark.parametrize(
+        "column,message",
+        [(("X", 1), "sxx: the mean square of X column 1 "), (("Z", 0), "szz: the mean square of Z column 0 "),
+         (("y", None), "syy: the mean square of y ")],
+    )
+    def test_overflow_names_block_and_column(self, column, message):
+        rng = np.random.default_rng(3)
+        data = {"X": rng.normal(size=(50, 3)), "Z": rng.normal(size=(50, 2)), "y": rng.normal(size=50)}
+        name, j = column
+        if j is None:
+            data[name] *= 1e160
+        else:
+            data[name][:, j] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="second moment " + message + "overflows float64"):
+                accumulate_moments(data["X"], data["Z"], data["y"])
 
 
 def mp_conditions(A, Ainv, rtol=1e-8):
