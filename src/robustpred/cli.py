@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 bad input, usage or path, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -126,20 +127,39 @@ def _load_dataset(args, feature_map):
         raise ValidationError(
             f"--lag builds its own columns; drop {stray}" if lagged else f"{stray}: read only with --lag"
         )
-    table = dataio.read_csv(args.data, date_col=args.date_col)
     if lagged:
+        table = dataio.read_csv(args.data, date_col=args.date_col, columns=[args.nox_col, args.o3_col])
         ds = dataio.build_lagged(table, LagSpec(L=args.lag, nox_column=args.nox_col, o3_column=args.o3_col))
     else:
         if not (args.x_cols and args.z_cols and args.y_col):
             raise ValidationError("--x-cols, --z-cols and --y-col are required without --lag")
-        ds = dataio.dataset_from_table(table, args.x_cols.split(","), args.z_cols.split(","), args.y_col)
+        x_cols, z_cols = args.x_cols.split(","), args.z_cols.split(",")
+        table = dataio.read_csv(args.data, date_col=args.date_col, columns=[*x_cols, *z_cols, args.y_col])
+        ds = dataio.dataset_from_table(table, x_cols, z_cols, args.y_col)
     return replace(ds, X=dataio.FEATURE_MAPS[feature_map](ds.X))
+
+
+def _by_name(message: str, ds) -> str:
+    """``message`` with each ``X column j`` and ``Z column k`` of the fitted
+    matrices spelled ``column <name>``, the name of ``ds``'s column. A
+    feature map's added columns have no name and keep their index."""
+    d = len(ds.column_names) - ds.Z.shape[1] - 1
+    names = {"X": ds.column_names[:d], "Z": ds.column_names[d:-1]}
+
+    def spelled(m):
+        block, j = names[m[1]], int(m[2])
+        return f"column {block[j]}" if j < len(block) else m[0]
+
+    return re.sub(r"\b([XZ]) column (\d+)\b", spelled, message)
 
 
 def cmd_fit(args) -> int:
     model_path = _output_path(args.model_out)
     ds = _load_dataset(args, args.feature_map)
-    model = fit_robust(ds.X, ds.Z, ds.y, args.alpha)
+    try:
+        model = fit_robust(ds.X, ds.Z, ds.y, args.alpha)
+    except ValidationError as exc:
+        raise ValidationError(_by_name(str(exc), ds)) from None
     dataio.save_model(model, model_path, feature_map=args.feature_map)
     _echo_config(model_path.parent, args)
 
@@ -165,8 +185,9 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     out = _output_path(args.out)
     model, feature_map = dataio.load_model(args.model)
-    table = dataio.read_csv(args.data, date_col=args.date_col)
-    x_cols = args.x_cols.split(",") if args.x_cols else list(table.names)
+    x_cols = args.x_cols.split(",") if args.x_cols else None
+    table = dataio.read_csv(args.data, date_col=args.date_col, columns=x_cols)
+    x_cols = x_cols or list(table.names)
     if not table.n:
         raise CsvParseError(f"{args.data}: no data rows")
     X = np.column_stack([table.column(c) for c in x_cols])

@@ -9,9 +9,11 @@ at full round-trip precision, so load(save(m)) predicts bitwise identically.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 
@@ -38,6 +40,9 @@ _GAP_CELL = re.compile(
     re.IGNORECASE | re.ASCII,
 )
 _WRITE_CHUNK_ROWS = 16384
+_SCAN_BLOCK = 1 << 20
+# numpy's loadtxt decompresses a path that ends in one of these
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class CsvParseError(ValueError):
@@ -84,68 +89,135 @@ class RawTable:
         return self.columns[name]
 
 
-def read_csv(path, date_col: str = None) -> RawTable:
+def read_csv(path, date_col: str = None, columns=None) -> RawTable:
     """Read a headered CSV of numeric columns into a RawTable.
 
-    Empty or NA-like cells become gaps (NaN). Any other non-numeric cell is an
-    error naming its data row (1-based) and column; so is a header that
-    repeats a name or lacks ``date_col``.
+    ``columns`` names the numeric columns to read, by default every column
+    but ``date_col``; the table holds them in header order. A cell of a
+    column nobody reads is never parsed. Empty or NA-like cells become gaps
+    (NaN). Any other non-numeric cell of a column read is an error naming
+    its data row (1-based) and column; so is a row whose cell count is not
+    the header's, and a header that repeats a name or lacks ``date_col``
+    or a name in ``columns``.
     """
     with open(path, newline="") as fh:
-        # readline keeps fh.tell() usable, so the cell loop can restart at
-        # the first data row when the fast parse gives up
-        reader = csv.reader(iter(fh.readline, ""))
+        header, head_lines = _read_header(fh)
+        encoding = fh.encoding
+    if header is None:
+        raise CsvParseError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise CsvParseError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+    if date_col is not None and date_col not in header:
+        raise CsvParseError(f"{path}: no date column {date_col!r} in the header")
+    numeric_names = [h for h in header if h != date_col]
+    if columns is not None:
+        absent = [c for c in columns if c not in numeric_names]
+        if absent:
+            raise CsvParseError(f"no column named {absent[0]!r}; have {numeric_names}")
+    names = tuple(h for h in numeric_names if columns is None or h in columns)
+    parsed = _parse_body(path, encoding, head_lines, header, names, date_col)
+    if parsed is not None:
+        values, dates = parsed
+        return RawTable(names=names, columns=dict(zip(names, values)), dates=dates)
+    with _open_body(path, len(head_lines)) as fh:
+        return _read_cells(path, fh, header, names, date_col)
+
+
+def _read_header(fh):
+    """The header row at the start of ``fh`` (None for an empty file) and
+    the lines it spans, as read."""
+    lines = []
+
+    def kept():
+        for line in fh:
+            lines.append(line)
+            yield line
+
+    return next(csv.reader(kept()), None), lines
+
+
+def _parse_body(path, encoding, head_lines, header, names, date_col):
+    """The body's ``names`` columns as contiguous float arrays, and its dates
+    (None without ``date_col``), from numpy's C reader; or None when only the
+    cell loop reads the body the same way.
+
+    numpy reads a path in chunks, but only a generator or file object line
+    by line, so the path is what it gets. Every header column has a field:
+    float for a column read, one character for any other, so numpy checks
+    each row's cell count against the header's. numpy skips blank lines and
+    does not read quotes, so its result is kept only when it has one row per
+    line of a body with no quote in it. The dates come from one more pass
+    over the date column alone.
+    """
+    path = os.fsdecode(path)
+    if not header or path.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    scan = _scan_body(path, len("".join(head_lines).encode(encoding)))
+    if scan is None:
+        return None
+    n_lines, has_data = scan
+    if not has_data:
+        # an empty body is a table of no rows; blank lines are for the cell
+        # loop to report (numpy would warn that it found no data)
+        if n_lines:
+            return None
+        return [np.empty(0) for _ in names], () if date_col is not None else None
+    fields = [f"f{i}" for i in range(len(header))]
+    dtype = np.dtype({"names": fields, "formats": ["f8" if h in names else "U1" for h in header]})
+    skip = len(head_lines)
+    read = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1, encoding=encoding)
+    try:
+        rows = read(path, dtype=dtype, skiprows=skip)
+    except ValueError:
+        # gap cells are the usual reason: spell each one "nan", which the C
+        # parser reads as the same NaN, and parse again
+        with _open_body(path, skip) as fh:
+            body, n_gaps = _spell_gaps(fh.read())
+        if not n_gaps:
+            return None
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise CsvParseError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-        if date_col is not None and date_col not in header:
-            raise CsvParseError(f"{path}: no date column {date_col!r} in the header")
-        numeric_names = [h for h in header if h != date_col]
-        # a date column needs the cell loop
-        if date_col is None:
-            body_start = fh.tell()
-            values = _parse_numbers(fh, len(header))
-            if values is None:
-                # gap cells are the usual reason: spell each one "nan",
-                # which the C parser reads as the same NaN, and parse again
-                fh.seek(body_start)
-                body, n_gaps = _spell_gaps(fh.read())
-                if n_gaps:
-                    values = _parse_numbers(io.StringIO(body, newline=""), len(header))
-            if values is not None:
-                return RawTable(names=tuple(header), columns=dict(zip(header, values.T.copy())))
-            fh.seek(body_start)
-        cols = {name: [] for name in numeric_names}
-        dates = [] if date_col is not None else None
-        for r, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-                )
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if name == date_col:
-                    dates.append(cell)
-                    continue
-                if cell.lower() in _GAP_TOKENS:
-                    cols[name].append(math.nan)
-                    continue
-                try:
-                    cols[name].append(float(cell))
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: non-numeric cell at row {r}, column {name}"
-                    ) from None
-    return RawTable(
-        names=tuple(numeric_names),
-        columns={k: np.asarray(v, dtype=float) for k, v in cols.items()},
-        dates=tuple(dates) if dates is not None else None,
-    )
+            rows = read(io.StringIO(body, newline=""), dtype=dtype)
+        except ValueError:
+            return None
+    if len(rows) != n_lines:
+        return None
+    values = [np.ascontiguousarray(rows[fields[header.index(name)]]) for name in names]
+    dates = None
+    if date_col is not None:
+        cells = read(path, dtype=object, skiprows=skip, usecols=header.index(date_col))
+        dates = tuple(map(str.strip, cells.tolist()))
+    return values, dates
+
+
+def _scan_body(path, offset: int):
+    """The line count of the file's bytes from ``offset`` and whether any of
+    them is not a line break, read in fixed-size blocks; None if a quote is
+    among them.
+
+    Line breaks are counted as the csv module splits lines: ``\\n``,
+    ``\\r\\n`` and a lone ``\\r``.
+    """
+    n_lf = n_cr = n_crlf = n_bytes = 0
+    last = b"\n"
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while block := fh.read(_SCAN_BLOCK):
+            if b'"' in block:
+                return None
+            a = np.frombuffer(block, np.uint8)
+            n_bytes += len(block)
+            n_lf += int(np.count_nonzero(a == 10))
+            n_crlf += last == b"\r" and block[:1] == b"\n"
+            if b"\r" in block:
+                after = np.flatnonzero(a == 13) + 1
+                n_cr += len(after)
+                n_crlf += int(np.count_nonzero(a[after[after < len(a)]] == 10))
+            last = block[-1:]
+    # a last line without a line break is a line too
+    n_lines = n_lf + n_cr - n_crlf + (last not in (b"\n", b"\r"))
+    return n_lines, n_bytes > n_lf + n_cr
 
 
 def _spell_gaps(body: str):
@@ -155,30 +227,41 @@ def _spell_gaps(body: str):
     return spelled[1:], n_gaps
 
 
-def _parse_numbers(fh, n_cols: int):
-    """The rest of ``fh`` as an (n_lines, n_cols) float array from numpy's C
-    parser, or None when only the cell loop can read it the same way.
+def _open_body(path, n_head: int):
+    """``path`` opened as text, after its first ``n_head`` lines."""
+    fh = open(path, newline="")
+    for _ in range(n_head):
+        fh.readline()
+    return fh
 
-    The C parser uses Python's own float syntax but skips blank lines and
-    rejects gap tokens, quotes and underscores, so its result is kept only
-    when it has one row per remaining line of the file.
-    """
-    first = fh.readline()
-    if not first.rstrip("\r\n"):
-        # nothing to parse, or a blank first line (loadtxt would warn)
-        return None
-    n_lines = 0
 
-    def lines():
-        nonlocal n_lines
-        for n_lines, line in enumerate(itertools.chain([first], fh), start=1):
-            yield line
-
-    try:
-        values = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape == (n_lines, n_cols) else None
+def _read_cells(path, fh, header, names, date_col) -> RawTable:
+    """The per-cell parse of the body left in ``fh``. It reads the bodies
+    numpy reads otherwise, and it reports the first row or cell that no
+    parse can read."""
+    read = [(i, name) for i, name in enumerate(header) if name in names]
+    cols = {name: [] for name in names}
+    date_at = header.index(date_col) if date_col is not None else None
+    dates = [] if date_col is not None else None
+    for r, row in enumerate(csv.reader(fh), start=1):
+        if len(row) != len(header):
+            raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        if dates is not None:
+            dates.append(row[date_at].strip())
+        for i, name in read:
+            cell = row[i].strip()
+            if cell.lower() in _GAP_TOKENS:
+                cols[name].append(math.nan)
+                continue
+            try:
+                cols[name].append(float(cell))
+            except ValueError:
+                raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
+    return RawTable(
+        names=names,
+        columns={k: np.asarray(v, dtype=float) for k, v in cols.items()},
+        dates=tuple(dates) if dates is not None else None,
+    )
 
 
 def write_csv(path, names, columns, dates=None) -> None:

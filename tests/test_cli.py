@@ -186,8 +186,28 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == (
-            "error: second moment sxx: the mean square of X column 0 overflows float64; scale the data down\n"
+            "error: second moment sxx: the mean square of column x1 overflows float64; scale the data down\n"
         )
+
+    @pytest.mark.parametrize("lag", [False, True])
+    def test_overflowing_column_named_by_schema(self, tmp_path, capsys, lag):
+        # z1 scaled by 1e200 is named; so is o3 under --lag, where the first
+        # block to overflow is x and its first o3 column is lag 2
+        out = simulate(tmp_path, n=300)
+        rows = list(csv.reader((out / "train.csv").read_text().splitlines()))
+        if lag:
+            rows = [["nox", "o3"]] + [[row[4], repr(float(row[3]) * 1e200)] for row in rows[1:]]
+            flags, where = ("--lag", "2"), "column o3_lag2"
+        else:
+            for row in rows[1:]:
+                row[3] = repr(float(row[3]) * 1e200)
+            flags, where = SCHEMA, "column z1"
+        with (tmp_path / "big.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run("fit", "--data", str(tmp_path / "big.csv"), *flags, "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: second moment s") and f"the mean square of {where} overflows" in err, err
 
     def test_linalg_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
         import robustpred.cli as cli
@@ -409,6 +429,23 @@ class TestPredict:
         assert code == EXIT_VALIDATION
         assert "row 3, column x1" in capsys.readouterr().err
         assert not preds.exists()
+
+    def test_reads_only_its_x_cols(self, tmp_path):
+        # a non-numeric cell in a column predict does not read changes nothing
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--model-out", str(model)) == EXIT_OK
+        lines = (out / "test.csv").read_text().splitlines()
+        for i in (1, 7):
+            cells = lines[i].split(",")
+            cells[3] = "oops"
+            lines[i] = ",".join(cells)
+        data = tmp_path / "bad_z.csv"
+        data.write_text("\n".join(lines) + "\n")
+        for name, path in (("clean", out / "test.csv"), ("bad_z", data)):
+            assert run("predict", "--model", str(model), "--data", str(path),
+                       "--x-cols", "x1,x2,x3", "--out", str(tmp_path / "preds" / f"{name}.csv")) == EXIT_OK
+        assert (tmp_path / "preds" / "clean.csv").read_bytes() == (tmp_path / "preds" / "bad_z.csv").read_bytes()
 
     def test_no_data_rows(self, tmp_path, capsys):
         out = simulate(tmp_path)

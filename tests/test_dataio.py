@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,19 +125,24 @@ class TestReadCsvEdgeCases:
         assert str(exc.value) == f"{p}: {message}"
 
     def test_gaps_read_by_the_fast_parse(self, tmp_path, monkeypatch):
-        # scattered gaps in every spelling: the second C parse reads the file
-        parsed = []
+        # scattered gaps in every spelling: the C parse of the spelled body
+        # reads the file, and the cell loop never runs
+        spelled = []
 
-        def parse_numbers(fh, n_cols):
-            parsed.append(real(fh, n_cols))
-            return parsed[-1]
+        def spell_gaps(body):
+            spelled.append(real(body))
+            return spelled[-1]
 
-        real = dataio._parse_numbers
-        monkeypatch.setattr(dataio, "_parse_numbers", parse_numbers)
+        def no_cell_loop(*args):
+            raise AssertionError("the cell loop ran")
+
+        real = dataio._spell_gaps
+        monkeypatch.setattr(dataio, "_spell_gaps", spell_gaps)
+        monkeypatch.setattr(dataio, "_read_cells", no_cell_loop)
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\r\n1,2\r\n3,\r\n,6\r\n NA ,8\r\n9,null\r\n\tNone,-0.0\r\n11,nan")
         t = read_csv(p)
-        assert [v is None for v in parsed] == [True, False]
+        assert [n_gaps for _, n_gaps in spelled] == [6]
         want = {"a": [1, 3, NAN, NAN, 9, NAN, 11], "b": [2, NAN, 6, 8, NAN, -0.0, NAN]}
         for name, column in want.items():
             got = t.column(name)
@@ -163,6 +170,158 @@ class TestReadCsvEdgeCases:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(CsvParseError, match="no date column 'date' in the header"):
             read_csv(p, date_col="date")
+
+
+def forbid_slow_paths(monkeypatch):
+    """Make the gap spelling and the cell loop raise, so a read that needs
+    either fails."""
+
+    def slow(*args):
+        raise AssertionError("the C parse of the file's own text gave up")
+
+    monkeypatch.setattr(dataio, "_spell_gaps", slow)
+    monkeypatch.setattr(dataio, "_read_cells", slow)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint64), np.asarray(want, dtype=float).view(np.uint64))
+
+
+SUBSETS = [None, ["c", "a"], ["b"], []]
+
+
+class TestReadCsvColumns:
+    """Column subsets, a date column, and bodies numpy's C reader reads
+    otherwise than the csv module: each read gives what the cell loop
+    gives."""
+
+    @pytest.mark.parametrize("columns", SUBSETS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n1,2,3\n\n4,5,6\n", "row 2 has 0 cells, expected 3"),
+            ("a,b,c\n1,2,3\n4,5,6\n\n", "row 3 has 0 cells, expected 3"),
+            ("a,b,c\r\n1,2,3\r\n4,5,6\r\n\r\n", "row 3 has 0 cells, expected 3"),
+            ("a,b,c\n1,2,3\n4,5,6,7\n", "row 2 has 4 cells, expected 3"),
+            ("a,b,c\n1,2,3,\n4,5,6\n", "row 1 has 4 cells, expected 3"),
+            # as many commas in all as rows of three cells have
+            ("a,b,c\n1,2\n3,4,5,6\n", "row 1 has 2 cells, expected 3"),
+            ("a,b,c\n1,2,3\n4,5\r6,7,8\n", "row 2 has 2 cells, expected 3"),
+        ],
+    )
+    def test_row_errors(self, tmp_path, columns, text, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(p, columns=columns)
+        assert str(exc.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("columns", SUBSETS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\r1,2,3\r4,5,6\r",
+            "a,b,c\r1,2,3\r\n4,5,6",
+            "a,b,c\n1,2,3\r4,5,6\r\n",
+        ],
+    )
+    def test_lone_cr_line_ends(self, tmp_path, monkeypatch, columns, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        forbid_slow_paths(monkeypatch)
+        t = read_csv(p, columns=columns)
+        want = {"a": [1, 4], "b": [2, 5], "c": [3, 6]}
+        assert t.names == tuple(n for n in want if columns is None or n in columns)
+        for name in t.names:
+            assert_bitwise(t.column(name), want[name])
+
+    @pytest.mark.parametrize("columns", [None, ["c", "a\r\nx"], ["b"]])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_quoted_header_holding_a_line_break(self, tmp_path, monkeypatch, columns, end):
+        p = tmp_path / "t.csv"
+        p.write_bytes(f'"a\r\nx", b ,"c"{end}1,2,3{end}4,5,6{end}'.encode())
+        forbid_slow_paths(monkeypatch)
+        t = read_csv(p, columns=columns)
+        want = {"a\r\nx": [1, 4], "b": [2, 5], "c": [3, 6]}
+        assert t.names == tuple(n for n in want if columns is None or n in columns)
+        for name in t.names:
+            assert_bitwise(t.column(name), want[name])
+
+    def test_quote_in_the_body_goes_to_the_cell_loop(self, tmp_path):
+        # numpy does not read quotes: split on every comma and line break, the
+        # body below has three rows of two cells, but the csv module reads two
+        p = tmp_path / "t.csv"
+        p.write_bytes(b'a,b\n1,"p\n2,3"\n4,5\n')
+        t = read_csv(p, columns=["a"])
+        assert_bitwise(t.column("a"), [1, 4])
+
+    @pytest.mark.parametrize("name", ["t.csv.gz", "t.bz2", "t.xz", "t.lzma"])
+    def test_text_file_with_a_compression_suffix(self, tmp_path, name):
+        # numpy's loadtxt would decompress a path with such a suffix
+        p = tmp_path / name
+        p.write_text("a,b\n1,2\n")
+        for path in (p, str(p), bytes(p)):
+            assert_bitwise(read_csv(path, columns=["b"]).column("b"), [2])
+
+    def test_bad_cell_in_a_column_not_read(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,c\n1,oops,3\n4,,6\n")
+        t = read_csv(p, columns=["c", "a"])
+        assert t.names == ("a", "c")
+        assert_bitwise(t.column("a"), [1, 4])
+        assert_bitwise(t.column("c"), [3, 6])
+        with pytest.raises(CsvParseError, match="row 1, column b"):
+            read_csv(p)
+
+    def test_column_not_in_header(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("date,a,b\n2020-01-01,1,2\n")
+        for columns, name in ((["a", "x"], "x"), (["date"], "date")):
+            with pytest.raises(CsvParseError) as exc:
+                read_csv(p, date_col="date", columns=columns)
+            assert str(exc.value) == f"no column named {name!r}; have ['a', 'b']"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_clean_file_takes_the_fast_parse(self, tmp_path, monkeypatch, end):
+        rng = np.random.default_rng(3)
+        cols = {name: rng.standard_t(3.0, size=1000) * 10.0 ** rng.integers(-30, 30, size=1000) for name in "abc"}
+        dates = [f" 2020-{i // 28 % 12 + 1:02d}-{i % 28 + 1:02d}T00:00 " for i in range(1000)]
+        p = tmp_path / "t.csv"
+        rows = zip(cols["a"].tolist(), dates, cols["b"].tolist(), cols["c"].tolist())
+        lines = ["a,date,b,c"] + [f"{a!r},{d},{b!r},{c!r}" for a, d, b, c in rows]
+        p.write_text(end.join(lines) + end, newline="")
+        forbid_slow_paths(monkeypatch)
+        for columns in SUBSETS:
+            t = read_csv(p, date_col="date", columns=columns)
+            assert t.names == tuple(n for n in "abc" if columns is None or n in columns)
+            assert t.dates == tuple(d.strip() for d in dates)
+            for name in t.names:
+                assert_bitwise(t.column(name), cols[name])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b", "a,b\n", "a,b\r\n", "a,b\r", "a,b\n\n", "a,b\r\n\r\n", "a,b\r\r", "a,b\n \n",
+         "a,b\n\t\n\n", "a,b\n,\n", "a,b\r\n1,2\r\n", "a,b\r\n1,2\r\n\r\n", "a\n \n", "a\n\r\n1\n", " \n"],
+    )
+    def test_no_warning(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kwargs in ({}, {"columns": ["b"]}, {"date_col": "a"}):
+                try:
+                    read_csv(p, **kwargs)
+                except CsvParseError:
+                    pass
+
+    def test_header_without_rows(self, tmp_path):
+        for text in ("date,a,b", "date,a,b\r\n"):
+            p = tmp_path / "t.csv"
+            p.write_bytes(text.encode())
+            t = read_csv(p, date_col="date", columns=["b"])
+            assert t.names == ("b",) and t.n == 0 and t.dates == ()
+            assert t.column("b").dtype == np.float64
 
 
 class TestWriteTable:

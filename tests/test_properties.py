@@ -328,17 +328,25 @@ def test_write_table_cells_read_back(tmp_path_factory, case):
     assert raw.count("\r") == sum(t.count("\r") for t in text)
 
 
-def reference_read_csv(path):
-    """The per-cell parse: csv.reader rows, stripped cells, NA-like gaps."""
+def reference_read_csv(path, date_col=None, columns=None):
+    """The per-cell parse: csv.reader rows, stripped cells, NA-like gaps.
+    Returns the numeric columns asked for, in header order, and the stripped
+    date cells (None without ``date_col``)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
-        cols = {name: [] for name in header}
+        cols = {name: [] for name in header if name != date_col and (columns is None or name in columns)}
+        dates = []
         for r, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             for name, cell in zip(header, row):
                 cell = cell.strip()
+                if name == date_col:
+                    dates.append(cell)
+                    continue
+                if name not in cols:
+                    continue
                 if cell.lower() in {"", "na", "nan", "null", "none"}:
                     cols[name].append(math.nan)
                     continue
@@ -346,7 +354,8 @@ def reference_read_csv(path):
                     cols[name].append(float(cell))
                 except ValueError:
                     raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
-    return {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+    columns = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+    return columns, tuple(dates) if date_col is not None else None
 
 
 CELLS = st.sampled_from(
@@ -356,24 +365,30 @@ CELLS = st.sampled_from(
 SEPARATORS = st.sampled_from([",", ",", ",", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c", "\x0b"])
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.sampled_from(["a\n", "a,b\n", "a,b,c\r\n"]),
     st.lists(st.tuples(CELLS, SEPARATORS), max_size=12),
     st.sampled_from(["", "\n", "\r\n"]),
+    st.data(),
 )
-def test_read_csv_matches_cell_parse(tmp_path_factory, header, cells, end):
+def test_read_csv_matches_cell_parse(tmp_path_factory, header, cells, end, data):
+    # a date column, or none, and a subset of the other columns in any order
+    names = header.strip().split(",")
+    date_col = data.draw(st.none() | st.sampled_from(names), label="date_col")
+    numeric = [n for n in names if n != date_col]
+    columns = data.draw(st.none() | st.permutations(numeric).flatmap(lambda p: st.sampled_from([p[:k] for k in range(len(p) + 1)])), label="columns")
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes((header + "".join(c + s for c, s in cells) + end).encode())
     try:
-        want = reference_read_csv(path)
+        want, dates = reference_read_csv(path, date_col, columns)
     except CsvParseError as exc:
         with pytest.raises(CsvParseError) as got:
-            read_csv(path)
+            read_csv(path, date_col=date_col, columns=columns)
         assert str(got.value) == str(exc)
         return
-    table = read_csv(path)
-    assert table.names == tuple(want)
+    table = read_csv(path, date_col=date_col, columns=columns)
+    assert table.names == tuple(want) and table.dates == dates
     for name, column in want.items():
         np.testing.assert_array_equal(bits(table.column(name)), bits(column))
 
