@@ -136,19 +136,20 @@ def _load_dataset(args, feature_map):
         x_cols, z_cols = args.x_cols.split(","), args.z_cols.split(",")
         table = dataio.read_csv(args.data, date_col=args.date_col, columns=[*x_cols, *z_cols, args.y_col])
         ds = dataio.dataset_from_table(table, x_cols, z_cols, args.y_col)
-    return replace(ds, X=dataio.FEATURE_MAPS[feature_map](ds.X))
+    mapped, mapped_names = dataio.FEATURE_MAPS[feature_map]
+    d = ds.X.shape[1]
+    return replace(ds, X=mapped(ds.X), column_names=(*mapped_names(ds.column_names[:d]), *ds.column_names[d:]))
 
 
 def _by_name(message: str, ds) -> str:
     """``message`` with each ``X column j`` and ``Z column k`` of the fitted
-    matrices spelled ``column <name>``, the name of ``ds``'s column. A
-    feature map's added columns have no name and keep their index."""
+    matrices spelled ``column <name>``, the name of ``ds``'s column (a
+    feature map names the columns it adds)."""
     d = len(ds.column_names) - ds.Z.shape[1] - 1
     names = {"X": ds.column_names[:d], "Z": ds.column_names[d:-1]}
 
     def spelled(m):
-        block, j = names[m[1]], int(m[2])
-        return f"column {block[j]}" if j < len(block) else m[0]
+        return f"column {names[m[1]][int(m[2])]}"
 
     return re.sub(r"\b([XZ]) column (\d+)\b", spelled, message)
 
@@ -195,7 +196,7 @@ def cmd_predict(args) -> int:
     if gaps.size:
         r, c = gaps[0]
         raise CsvParseError(f"{args.data}: missing or non-finite cell at row {r + 1}, column {x_cols[c]}")
-    yhat, p, delta, _, _ = predict_parts(model, dataio.FEATURE_MAPS[feature_map](X))
+    yhat, p, delta, _, _ = predict_parts(model, dataio.FEATURE_MAPS[feature_map][0](X))
     dataio.write_csv(out, ["prediction", "p_outlier", "delta"], {"prediction": yhat, "p_outlier": p, "delta": delta})
     print(f"wrote {out} ({X.shape[0]} rows)")
     return EXIT_OK
@@ -278,6 +279,17 @@ def _int_at_least(low: int):
 _POSITIVE_INT = _int_at_least(1)
 
 
+def _alpha(text):
+    """An argparse ``type``: a tail-region mass, a float in (0, 1]."""
+    value = float(text)  # a ValueError is argparse's "invalid float value"
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+_alpha.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustpred",
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV")
     schema_flags(p)
     p.add_argument("--feature-map", choices=dataio.FEATURE_MAPS, default="none")
-    p.add_argument("--alpha", type=float, default=0.1, help="tail-region mass")
+    p.add_argument("--alpha", type=_alpha, default=0.1, help="tail-region mass")
     p.add_argument("--model-out", required=True, help="model file path")
 
     p = command("predict", cmd_predict, "predict from a model and feature CSV")
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("experiment", cmd_experiment, "Monte Carlo comparison of all predictors")
     process_flags(p)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=_alpha, default=0.1, help="tail-region mass")
     p.add_argument("--n-train", type=_POSITIVE_INT, default=100)
     p.add_argument("--n-test", type=_POSITIVE_INT, default=100000)
     p.add_argument("--n-runs", type=_POSITIVE_INT, default=50)

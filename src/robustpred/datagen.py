@@ -89,27 +89,36 @@ def _scale_sqrt(scale: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-# Rows per block of the scale product in _t_draws. A block this size stays in
+# Rows per block of the scale product in _shape_t. A block this size stays in
 # OpenBLAS's single-thread kernel; the whole n x d product of a 1e5-row draw
 # goes to its threaded gemm, whose threads contend with the caller's other
 # threads for the cores.
 _ROW_BLOCK = 2048
 
 
-def _t_draws(rng: np.random.Generator, dof: float, scale, n: int) -> np.ndarray:
-    """Multivariate t via Gaussian over root-chi-square, one divisor per row.
+# Each process is drawn in two halves. The draw makes the generator calls
+# only, in a fixed order, each written with out= into buffers the caller
+# owns; the shape does all the arithmetic, in place on those buffers. The
+# chi-square draw is 2 * standard_gamma(dof / 2), which is how numpy computes
+# rng.chisquare(dof) (and chisquare has no out=), so the doubling in the
+# shape makes the pair bitwise the chisquare formulas (tests compare them).
+def _draw_t(rng: np.random.Generator, g: np.ndarray, w: np.ndarray, dof: float) -> None:
+    rng.standard_normal(out=g)
+    rng.standard_gamma(dof / 2, out=w)
+
+
+def _shape_t(g: np.ndarray, w: np.ndarray, dof: float, scale) -> np.ndarray:
+    """Multivariate t over ``g``, Gaussian over root-chi-square, one divisor
+    per row; ``w`` is left holding the divisors.
 
     The scale product runs in place over blocks of ``_ROW_BLOCK`` rows,
-    bitwise ``standard_normal((n, d)) @ a.T`` (tests compare the two at n
-    spanning several blocks).
+    bitwise ``g @ a.T`` (tests compare the two at n spanning several blocks).
     """
-    scale = np.atleast_2d(np.asarray(scale, dtype=float))
-    at = _scale_sqrt(scale).T
-    g = rng.standard_normal((n, scale.shape[0]))
-    for start in range(0, n, _ROW_BLOCK):
+    at = _scale_sqrt(np.atleast_2d(np.asarray(scale, dtype=float))).T
+    for start in range(0, len(g), _ROW_BLOCK):
         block = g[start : start + _ROW_BLOCK]
         np.matmul(block, at, out=block)
-    w = rng.chisquare(dof, n)
+    w += w
     w /= dof
     g /= np.sqrt(w, out=w)[:, None]
     return g
@@ -119,7 +128,10 @@ def sample_t(dof: float, scale, n: int, seed: int) -> np.ndarray:
     """Seeded multivariate t sample with the given (unnormalized) scale matrix."""
     if dof <= 0:
         raise ValidationError("dof must be positive")
-    return _t_draws(np.random.default_rng(seed), dof, scale, n)
+    scale = np.atleast_2d(np.asarray(scale, dtype=float))
+    g, w = np.empty((n, scale.shape[0])), np.empty(n)
+    _draw_t(np.random.default_rng(seed), g, w, dof)
+    return _shape_t(g, w, dof, scale)
 
 
 def _unit_variance_factor(dof: float) -> float:
@@ -127,20 +139,53 @@ def _unit_variance_factor(dof: float) -> float:
     return np.sqrt(dof / (dof - 2.0)) if dof > 2.0 else 1.0
 
 
-def _draw_common(cfg: SyntheticConfig, rng: np.random.Generator):
-    # scaled and summed in place, one operation at a time in the order of
-    # z = t / f, u = t / f, x = rho * z + u + eps_x: bitwise those formulas
-    z = _t_draws(rng, cfg.nu_z, np.eye(1), cfg.n)[:, 0]
+def _raw_buffers(n: int) -> tuple:
+    """Uninitialised buffers for one draw of n rows, in draw order: z's
+    Gaussian and gamma, u's Gaussian and gamma, then the x and y noise."""
+    return np.empty((n, 1)), np.empty(n), np.empty((n, 3)), np.empty(n), np.empty((n, 3)), np.empty(n)
+
+
+# The draws and shapes below call no public function: evalkit runs _draw on
+# a helper thread, where a call that perfbench's single-stack span tracer
+# wraps would break its span nesting.
+def _draw(cfg: SyntheticConfig, seed: int, raw: tuple) -> tuple:
+    """Fill ``raw`` (from ``_raw_buffers``) with the generator draws of
+    seed ``seed``; ``cfg`` gives the degrees of freedom. Returns ``raw``."""
+    rng = np.random.default_rng(seed)
+    gz, wz, gx, wx, noise_x, noise_y = raw
+    _draw_t(rng, gz, wz, cfg.nu_z)
+    _draw_t(rng, gx, wx, cfg.nu_u)
+    rng.standard_normal(out=noise_x)
+    rng.standard_normal(out=noise_y)
+    return raw
+
+
+def _shape_common(cfg: SyntheticConfig, raw: tuple):
+    """(z, x, eps_y) over the buffers of a draw, and a spare n-buffer.
+
+    Scaled and summed in place, one operation at a time in the order of
+    z = t / f, u = t / f, x = rho * z + u + eps_x: bitwise those formulas."""
+    gz, wz, gx, wx, eps_x, eps_y = raw
+    z = _shape_t(gz, wz, cfg.nu_z, np.eye(1))[:, 0]
     z /= _unit_variance_factor(cfg.nu_z)
-    x = _t_draws(rng, cfg.nu_u, cfg.sigma_u, cfg.n)
+    x = _shape_t(gx, wx, cfg.nu_u, cfg.sigma_u)
     x /= _unit_variance_factor(cfg.nu_u)
-    eps_x = rng.standard_normal((cfg.n, 3))
     eps_x *= np.sqrt(cfg.noise_x_var)
-    eps_y = rng.standard_normal(cfg.n)
     eps_y *= np.sqrt(cfg.noise_y_var)
-    x += cfg.rho * z[:, None]
+    x += np.multiply(z, cfg.rho, out=wz)[:, None]
     x += eps_x
-    return z, x, eps_y
+    return z, x, eps_y, wx
+
+
+def _shape_linear(cfg: SyntheticConfig, raw: tuple):
+    """The linear process's (X, Z, y) over the buffers of a draw."""
+    z, x, eps_y, spare = _shape_common(cfg, raw)
+    # bitwise z + x.sum(axis=1) + eps_y: the row sum adds x's columns left to right
+    y = np.add(x[:, 0], x[:, 1], out=spare)
+    y += x[:, 2]
+    y += z
+    y += eps_y
+    return x, z[:, None], y
 
 
 def generate_linear(cfg: SyntheticConfig):
@@ -148,18 +193,8 @@ def generate_linear(cfg: SyntheticConfig):
     return _linear(cfg)
 
 
-# The private draws below call no public function: evalkit runs them on a
-# helper thread, where a call that perfbench's single-stack span tracer wraps
-# would break its span nesting.
 def _linear(cfg: SyntheticConfig):
-    rng = np.random.default_rng(cfg.seed)
-    z, x, eps_y = _draw_common(cfg, rng)
-    # bitwise z + x.sum(axis=1) + eps_y: the row sum adds x's columns left to right
-    y = np.add(x[:, 0], x[:, 1])
-    y += x[:, 2]
-    y += z
-    y += eps_y
-    return x, z[:, None], y
+    return _shape_linear(cfg, _draw(cfg, cfg.seed, _raw_buffers(cfg.n)))
 
 
 def feature_map_quadratic(X) -> np.ndarray:
@@ -181,8 +216,12 @@ def generate_poly(cfg: PolyConfig):
 
 
 def _poly(cfg: PolyConfig):
-    rng = np.random.default_rng(cfg.seed)
-    z, x, eps_y = _draw_common(cfg, rng)
+    return _shape_poly(cfg, _draw(cfg, cfg.seed, _raw_buffers(cfg.n)))
+
+
+def _shape_poly(cfg: PolyConfig, raw: tuple):
+    """The polynomial process's (X, Z_features, y) over the buffers of a draw."""
+    z, x, eps_y, _ = _shape_common(cfg, raw)
     psi = np.column_stack([z, z**2])
     phi = _quadratic(x)
     y = psi @ np.asarray(cfg.wz, dtype=float) + phi @ np.asarray(cfg.wx, dtype=float) + eps_y

@@ -27,8 +27,15 @@ from .robust import RobustModel
 
 MODEL_FORMAT = "robustpred-model"
 MODEL_VERSION = 1
-# the feature maps a model can be fitted on, by the name its file stores
-FEATURE_MAPS = {"none": np.asarray, "quadratic": feature_map_quadratic}
+
+
+def _squared_names(names) -> tuple:
+    return (*names, *(f"{name}^2" for name in names))
+
+
+# the feature maps a model can be fitted on, by the name its file stores:
+# each maps X, and maps X's column names to the mapped columns' names
+FEATURE_MAPS = {"none": (np.asarray, tuple), "quadratic": (feature_map_quadratic, _squared_names)}
 _GAP_TOKENS = {"", "na", "nan", "null", "none"}
 # A gap cell with the comma or line break before it: empty next to a comma,
 # blank, or a gap token in any ASCII case with spaces or tabs around it. A
@@ -101,7 +108,10 @@ def read_csv(path, date_col: str = None, columns=None) -> RawTable:
     or a name in ``columns``.
     """
     with open(path, newline="") as fh:
-        header, head_lines = _read_header(fh)
+        try:
+            header, head_lines = _read_header(fh)
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: header row: {exc}") from None
         encoding = fh.encoding
     if header is None:
         raise CsvParseError(f"{path}: empty file, expected a header row")
@@ -243,20 +253,24 @@ def _read_cells(path, fh, header, names, date_col) -> RawTable:
     cols = {name: [] for name in names}
     date_at = header.index(date_col) if date_col is not None else None
     dates = [] if date_col is not None else None
-    for r, row in enumerate(csv.reader(fh), start=1):
-        if len(row) != len(header):
-            raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        if dates is not None:
-            dates.append(row[date_at].strip())
-        for i, name in read:
-            cell = row[i].strip()
-            if cell.lower() in _GAP_TOKENS:
-                cols[name].append(math.nan)
-                continue
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
+    r = 0
+    try:
+        for r, row in enumerate(csv.reader(fh), start=1):
+            if len(row) != len(header):
+                raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            if dates is not None:
+                dates.append(row[date_at].strip())
+            for i, name in read:
+                cell = row[i].strip()
+                if cell.lower() in _GAP_TOKENS:
+                    cols[name].append(math.nan)
+                    continue
+                try:
+                    cols[name].append(float(cell))
+                except ValueError:
+                    raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
+    except csv.Error as exc:  # the reader failed on the row after row r
+        raise CsvParseError(f"{path}: row {r + 1}: {exc}") from None
     return RawTable(
         names=names,
         columns={k: np.asarray(v, dtype=float) for k, v in cols.items()},

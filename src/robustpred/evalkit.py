@@ -2,20 +2,22 @@
 experiment harness, conditional-MSE curves and the excess-MSE identity check.
 
 Independent Monte Carlo runs own derived seeds (master seed plus run index)
-and are scored one after another in run index order. One helper thread draws
-the next fitted run's test set while the main thread scores the current run;
-the draws are seeded per run and the scoring is serial, so every output is
-bitwise that of a loop without the helper.
+and are scored one after another in run index order. One helper thread makes
+the generator calls of the next fitted run's test set, into one of two
+reused buffer sets, while the main thread shapes the current run's draws
+into (X, Z, y) and scores them. The draws are seeded per run and the shaping
+and scoring are serial, so every output is bitwise that of a loop without
+the helper.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import PolyConfig, SyntheticConfig, _linear, _poly, _quadratic
+from .datagen import PolyConfig, SyntheticConfig, _draw, _quadratic, _raw_buffers, _shape_linear, _shape_poly
 from .gate import is_outlier
 from .linalg import SecondMoments, ShapeError, ValidationError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
@@ -159,16 +161,13 @@ class CurveSet:
     counts: dict  # name -> total rows per bin
 
 
-def _generate(cfg, n, seed):
-    """A run's (X, Z, y): bitwise ``generate_linear``, or the quadratic
-    feature map over ``generate_poly``. It calls datagen's private draws only,
-    because the helper thread runs it, and a public call there would be
-    wrapped by perfbench's span tracer, which keeps one unlocked span stack."""
-    cfg = replace(cfg, n=n, seed=seed)
+def _shape(cfg, raw):
+    """A run's (X, Z, y) over the buffers of its draw: bitwise
+    ``generate_linear``, or the quadratic feature map over ``generate_poly``."""
     if isinstance(cfg, PolyConfig):
-        x_raw, Z, y = _poly(cfg)
+        x_raw, Z, y = _shape_poly(cfg, raw)
         return _quadratic(x_raw), Z, y
-    return _linear(cfg)
+    return _shape_linear(cfg, raw)
 
 
 def _bin_index(z, edges):
@@ -233,10 +232,13 @@ def run_mc_experiment(
     yet fully reproducible. Returns (DeltaTable, CurveSet | None); runs whose
     fit fails are recorded, not fatal. A run draws its test data only after
     its fit succeeds; a failed run's test seed stays reserved, so every
-    completed run sees the same data whichever other runs fail.
+    completed run sees the same data whichever other runs fail. An
+    ``alpha`` outside (0, 1] raises ``ValidationError`` before the first run.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
     deltas = {name: ([], []) for name in PREDICTORS}
     completed, failed = [], []
 
@@ -255,7 +257,7 @@ def run_mc_experiment(
 
     def score(i, model, train, test):
         X_tr, Z_tr, y_tr = train
-        X_te, Z_te, y_te = test.result()
+        X_te, Z_te, y_te = _shape(cfg, test.result())
         # centred once, in place, for the robust parts and the oracle line:
         # bitwise X_te - x_mean without a second n x d array
         xc = np.subtract(X_te, model.x_mean, out=X_te)
@@ -276,19 +278,23 @@ def run_mc_experiment(
                 sq_sums[name] += np.bincount(idx, err2[name], minlength=n_edges)[1:n_edges]
 
     # Run i's test draw goes to the helper once its fit succeeds, and run
-    # i - 1 is scored while the helper draws; the helper's queue runs one
-    # draw at a time, so at most one test set is drawn while one is scored.
+    # i - 1 is shaped and scored while the helper draws; the helper's queue
+    # runs one draw at a time, so at most one test set is drawn while one
+    # is scored. Test draws take turns in two buffer sets: a run reuses the
+    # older set, whose run was scored before this draw is queued.
     helper = ThreadPoolExecutor(max_workers=1)
+    buffers = []
     try:
         pending = None
         for i in range(n_runs):
-            train = _generate(cfg, n_train, cfg.seed + 2 * i + 1)
+            train = _shape(cfg, _draw(cfg, cfg.seed + 2 * i + 1, _raw_buffers(n_train)))
             try:
                 model = fit_robust(*train, alpha)
             except Exception as exc:  # noqa: BLE001 - failed runs are data, not crashes
                 failed.append((i, str(exc)))
                 continue
-            test = helper.submit(_generate, cfg, n_test, cfg.seed + 2 * i + 2)
+            buffers.append(buffers.pop(0) if len(buffers) == 2 else _raw_buffers(n_test))
+            test = helper.submit(_draw, cfg, cfg.seed + 2 * i + 2, buffers[-1])
             if pending is not None:
                 score(*pending)
             pending = (i, model, train, test)

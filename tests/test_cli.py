@@ -209,6 +209,37 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: second moment s") and f"the mean square of {where} overflows" in err, err
 
+    def test_overflowing_squared_column_named_by_feature_map(self, tmp_path, capsys):
+        # x1 scaled by 1e100 has a finite mean square; its square's overflows,
+        # and the quadratic feature map names that column x1^2
+        out = simulate(tmp_path, n=300)
+        rows = list(csv.reader((out / "train.csv").read_text().splitlines()))
+        for row in rows[1:]:
+            row[0] = repr(float(row[0]) * 1e100)
+        with (tmp_path / "big.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run("fit", "--data", str(tmp_path / "big.csv"), *SCHEMA, "--feature-map", "quadratic",
+                   "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: second moment sxx: the mean square of column x1^2 overflows float64; scale the data down\n"
+        )
+
+    @pytest.mark.parametrize("where", ["body", "header"])
+    def test_cell_over_the_csv_field_limit_is_one_error_line(self, tmp_path, capsys, where):
+        # the csv module refuses a field over 131072 characters; the quote
+        # sends the body to the cell loop
+        long = '"' + "x" * 200_000 + '"'
+        lines = ["a,b", f"1,{long}", "2,3"] if where == "body" else [f"a,{long}", "1,2"]
+        (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit", "--data", str(tmp_path / "big.csv"), "--x-cols", "a", "--z-cols", "a", "--y-col", "a",
+                   "--model-out", str(tmp_path / "m.txt")) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        row = "row 1" if where == "body" else "header row"
+        assert err.startswith(f"error: {tmp_path / 'big.csv'}: {row}: field larger than field limit"), err
+        assert err.count("\n") == 1
+
     def test_linalg_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
         import robustpred.cli as cli
 
@@ -518,6 +549,26 @@ class TestExperiment:
             assert run(*base, *extra) == EXIT_VALIDATION
             assert "--alph" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "fit"])
+    @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
+    def test_bad_alpha_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, command, alpha):
+        import robustpred.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli.evalkit, "run_mc_experiment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "fit_robust", lambda *a: calls.append(a))
+        out = tmp_path / "e"
+        if command == "experiment":
+            argv = ("experiment", "--n-runs", "2", "--n-test", "100", "--out", str(out))
+        else:
+            argv = ("fit", "--data", str(tmp_path / "absent.csv"), *SCHEMA, "--model-out", str(out / "m.txt"))
+        assert run(*argv, "--alpha", alpha) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"robustpred {command}: error: argument --alpha: must be in (0, 1], got {float(alpha)}"
+        ]
+        assert calls == [] and not out.exists()
 
     def test_no_completed_run_fails_loudly(self, tmp_path, capsys):
         out = tmp_path / "e"

@@ -5,7 +5,11 @@ from robustpred.datagen import (
     PolyConfig,
     SyntheticConfig,
     _ROW_BLOCK,
+    _draw,
+    _raw_buffers,
     _scale_sqrt,
+    _shape_linear,
+    _shape_poly,
     feature_map_quadratic,
     generate_linear,
     generate_poly,
@@ -175,6 +179,25 @@ class TestDrawsMatchFormulas:
         y = psi @ np.asarray(cfg.wz) + np.hstack([x, x**2]) @ np.asarray(cfg.wx) + eps_y
         assert_bitwise(generate_poly(cfg), (x, psi, y))
 
+    @pytest.mark.parametrize("settings", LINEAR_CONFIGS)
+    def test_linear_draw_then_shape_in_reused_buffers(self, n, seed, settings):
+        # the buffers hold a shaped draw of another process and seed first:
+        # the draw overwrites every cell the shape reads
+        cfg = SyntheticConfig(n=n, seed=seed, **settings)
+        raw = _raw_buffers(n)
+        _shape_poly(PolyConfig(n=n), _draw(PolyConfig(n=n), seed + 1, raw))
+        z, x, eps_y = formula_draws(cfg)
+        assert_bitwise(_shape_linear(cfg, _draw(cfg, seed, raw)), (x, z[:, None], z + x.sum(axis=1) + eps_y))
+
+    def test_poly_draw_then_shape_in_reused_buffers(self, n, seed):
+        cfg = PolyConfig(n=n, seed=seed, rho=0.9, wz=(0.5, -1.0))
+        raw = _raw_buffers(n)
+        _shape_linear(SyntheticConfig(n=n, nu_z=1.5), _draw(SyntheticConfig(n=n, nu_z=1.5), seed + 1, raw))
+        z, x, eps_y = formula_draws(cfg)
+        psi = np.column_stack([z, z**2])
+        y = psi @ np.asarray(cfg.wz) + np.hstack([x, x**2]) @ np.asarray(cfg.wx) + eps_y
+        assert_bitwise(_shape_poly(cfg, _draw(cfg, seed, raw)), (x, psi, y))
+
     def test_sample_t(self, n, seed):
         scale = np.array([[2.0, 0.5], [0.5, 1.0]])
         rng = np.random.default_rng(seed)
@@ -188,3 +211,18 @@ class TestDrawsMatchFormulas:
         g = rng.standard_normal((n, 3)) @ _scale_sqrt(scale).T
         w = rng.chisquare(3.0, n) / 3.0
         assert_bitwise((sample_t(3.0, scale, n, seed),), (g / np.sqrt(w)[:, None],))
+
+
+@pytest.mark.parametrize("dof", [1, 1.5, 2, 3, 5, 7.5, 30])
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+def test_chisquare_is_twice_standard_gamma(dof, seed):
+    # the draws write the chi-square as 2 * standard_gamma(dof / 2) with out=;
+    # numpy computes rng.chisquare the same way, so both give the same bits
+    # and leave the generator at the same position
+    for n in (1, 1000, 100_000):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = np.empty(n)
+        b.standard_gamma(dof / 2, out=w)
+        w += w
+        assert w.tobytes() == a.chisquare(dof, n).tobytes()
+        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()

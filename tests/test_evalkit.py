@@ -150,13 +150,13 @@ class TestRunMcExperiment:
         import robustpred.evalkit as evalkit
 
         calls = []
-        generate = evalkit._generate
+        draw = evalkit._draw
 
-        def recording(cfg, n, seed):
-            calls.append((n, seed))
-            return generate(cfg, n, seed)
+        def recording(cfg, seed, raw):
+            calls.append((len(raw[0]), seed))
+            return draw(cfg, seed, raw)
 
-        monkeypatch.setattr(evalkit, "_generate", recording)
+        monkeypatch.setattr(evalkit, "_draw", recording)
         cfg = SyntheticConfig(seed=7)
         n_train, n_test, n_runs = 100, 200, 8
         table, _ = run_mc_experiment(cfg, n_train, n_test, n_runs, 0.1)
@@ -176,13 +176,13 @@ class TestHelperThread:
         import robustpred.evalkit as evalkit
 
         on_main = {}
-        generate = evalkit._generate
+        draw = evalkit._draw
 
-        def recording(cfg, n, seed):
+        def recording(cfg, seed, raw):
             on_main[seed] = threading.current_thread() is threading.main_thread()
-            return generate(cfg, n, seed)
+            return draw(cfg, seed, raw)
 
-        monkeypatch.setattr(evalkit, "_generate", recording)
+        monkeypatch.setattr(evalkit, "_draw", recording)
         before = set(threading.enumerate())
         cfg = SyntheticConfig(seed=7)
         table, _ = run_mc_experiment(cfg, 100, 500, 5, 0.1, z_bin_edges=np.linspace(-12, 12, 49))
@@ -196,20 +196,82 @@ class TestHelperThread:
 
         cfg = SyntheticConfig(seed=7)  # run 3 fails to fit at this seed
         boom = RuntimeError("test draw failed")
-        generate = evalkit._generate
+        draw = evalkit._draw
 
-        def failing(c, n, seed):
+        def failing(c, seed, raw):
             if seed == cfg.seed + 2 * failing_run + 2:
                 assert threading.current_thread() is not threading.main_thread()
                 raise boom
-            return generate(c, n, seed)
+            return draw(c, seed, raw)
 
-        monkeypatch.setattr(evalkit, "_generate", failing)
+        monkeypatch.setattr(evalkit, "_draw", failing)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError) as info:
             run_mc_experiment(cfg, 100, 500, 5, 0.1)
         assert info.value is boom
         assert set(threading.enumerate()) == before
+
+    def test_helper_calls_no_public_function(self, monkeypatch):
+        # perfbench's span tracer wraps every public function of the package
+        # and keeps one span stack, so the helper thread must call none
+        import inspect
+        import sys
+
+        import robustpred.evalkit as evalkit
+
+        modules = [m for name, m in list(sys.modules.items()) if name.startswith("robustpred.")]
+        public = {
+            id(fn): f"{mod.__name__}.{attr}"
+            for mod in modules
+            for attr, fn in vars(mod).items()
+            if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        }
+        assert "robustpred.datagen.generate_linear" in public.values()
+        off_main, helper_draws = [], []
+
+        def wrapped(name, fn):
+            def call(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for mod in modules:
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in public and inspect.isfunction(obj):
+                    monkeypatch.setattr(mod, attr, wrapped(public[id(obj)], obj))
+        draw = evalkit._draw
+
+        def recording(cfg, seed, raw):
+            helper_draws.append(threading.current_thread() is not threading.main_thread())
+            return draw(cfg, seed, raw)
+
+        monkeypatch.setattr(evalkit, "_draw", recording)
+        for cfg, edges in ((SyntheticConfig(seed=7), np.linspace(-12, 12, 49)), (PolyConfig(seed=7), None)):
+            evalkit.run_mc_experiment(cfg, 100, 500, 5, 0.1, z_bin_edges=edges)
+        assert any(helper_draws)
+        assert off_main == []
+
+    def test_two_buffer_sets_taken_in_turn_across_failed_runs(self, monkeypatch):
+        # runs 3 and 7 fail at this seed, the last one after the final test
+        # draw; every fitted run's test draw takes the older of two sets
+        import robustpred.evalkit as evalkit
+
+        cfg, n_train, n_test, n_runs = SyntheticConfig(seed=7), 100, 500, 8
+        sets = []
+        draw = evalkit._draw
+
+        def recording(c, seed, raw):
+            if len(raw[0]) == n_test:
+                sets.append(tuple(id(a) for a in raw))
+            return draw(c, seed, raw)
+
+        monkeypatch.setattr(evalkit, "_draw", recording)
+        table, _ = run_mc_experiment(cfg, n_train, n_test, n_runs, 0.1)
+        assert table.runs == (0, 1, 2, 4, 5, 6)
+        assert len(set(sets)) == 2
+        assert sets == [sets[0], sets[1]] * 3
 
 
 class TestConditionalMseCurve:
@@ -295,24 +357,29 @@ class TestConditionalMseCurve:
             assert table.row(name).delta_out_runs.tobytes() == np.array(d_out).tobytes()
 
     def test_curves_equal_serial_recomputation_across_a_failed_run(self):
-        # the helper thread draws test sets ahead; the bin sums and counts
-        # still add up run by run, in run order, as a serial loop over the
-        # public functions does
+        # the helper thread draws test sets ahead, into two buffer sets taken
+        # in turn; each run's deltas, and the bin sums and counts added up
+        # run by run in run order, are those of a serial loop over the
+        # public functions, across failed runs 3 and 7
         from robustpred.predictors import fit_oracle
         from robustpred.robust import fit_robust
 
-        cfg, n_train, n_test, alpha, n_runs = SyntheticConfig(seed=7), 100, 3000, 0.1, 5
+        cfg, n_train, n_test, alpha, n_runs = SyntheticConfig(seed=7), 100, 3000, 0.1, 8
         edges = np.linspace(-12, 12, 49)
         table, curves = run_mc_experiment(cfg, n_train, n_test, n_runs, alpha, z_bin_edges=edges)
-        assert table.runs == (0, 1, 2, 4) and [i for i, _ in table.failed_runs] == [3]
+        assert table.runs == (0, 1, 2, 4, 5, 6) and [i for i, _ in table.failed_runs] == [3, 7]
         k = len(edges)
         sums = {name: np.zeros(k - 1) for name in curves.mse}
         counts = np.zeros(k - 1, dtype=int)
+        deltas = {name: ([], []) for name in ("optimistic", "conservative", "robust")}
         for i in table.runs:
             X, Z, y = generate_linear(SyntheticConfig(n=n_train, seed=cfg.seed + 2 * i + 1))
             Xt, Zt, yt = generate_linear(SyntheticConfig(n=n_test, seed=cfg.seed + 2 * i + 2))
             model = fit_robust(X, Z, y, alpha)
-            _, err2 = compare_predictors(model, Xt, Zt, yt)
+            rows, err2 = compare_predictors(model, Xt, Zt, yt)
+            for name, _, d_in, d_out in rows:
+                deltas[name][0].append(d_in)
+                deltas[name][1].append(d_out)
             oracle = fit_oracle(accumulate_moments(X - model.x_mean, Z - model.region.center, y - model.y_mean))
             pred = (Xt - model.x_mean) @ oracle.alpha_w + (Zt - model.region.center) @ oracle.beta_w + model.y_mean
             err2["oracle"] = (yt - pred) ** 2
@@ -320,9 +387,22 @@ class TestConditionalMseCurve:
             counts += np.bincount(idx, minlength=k)[1:k]
             for name in sums:
                 sums[name] += np.bincount(idx, err2[name], minlength=k)[1:k]
+        for name, (d_in, d_out) in deltas.items():
+            assert table.row(name).delta_in_runs.tobytes() == np.array(d_in).tobytes()
+            assert table.row(name).delta_out_runs.tobytes() == np.array(d_out).tobytes()
         for name in sums:
             assert curves.counts[name].tobytes() == counts.tobytes()
             assert curves.mse[name].tobytes() == np.where(counts > 0, sums[name] / np.maximum(counts, 1), np.nan).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, np.nan])
+    def test_bad_alpha_rejected_before_any_draw(self, monkeypatch, alpha):
+        import robustpred.evalkit as evalkit
+
+        calls = []
+        monkeypatch.setattr(evalkit, "_draw", lambda *a: calls.append(a))
+        with pytest.raises(ValidationError, match=r"alpha must be in \(0, 1\]"):
+            run_mc_experiment(SyntheticConfig(seed=1), 100, 500, 2, alpha)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "edges",
@@ -333,7 +413,7 @@ class TestConditionalMseCurve:
         import robustpred.evalkit as evalkit
 
         calls = []
-        monkeypatch.setattr(evalkit, "_generate", lambda *a: calls.append(a))
+        monkeypatch.setattr(evalkit, "_draw", lambda *a: calls.append(a))
         with pytest.raises(ValidationError, match="z_bin_edges"):
             run_mc_experiment(SyntheticConfig(seed=1), 100, 500, 2, 0.1, z_bin_edges=np.array(edges))
         assert calls == []
