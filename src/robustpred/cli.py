@@ -56,6 +56,14 @@ def _config_flags(path, parser) -> list:
     return flags
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors are one ``error:`` line, as the
+    other bad inputs' are; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 class _StoreGiven(argparse.Action):
     """argparse's plain store, which also adds the flag's dest to
     ``namespace.given``: the settings given on the command line or in the
@@ -128,13 +136,13 @@ def _load_dataset(args, feature_map):
             f"--lag builds its own columns; drop {stray}" if lagged else f"{stray}: read only with --lag"
         )
     if lagged:
-        table = dataio.read_csv(args.data, date_col=args.date_col, columns=[args.nox_col, args.o3_col])
+        table = dataio.read_csv(args.data, columns=[args.nox_col, args.o3_col])
         ds = dataio.build_lagged(table, LagSpec(L=args.lag, nox_column=args.nox_col, o3_column=args.o3_col))
     else:
         if not (args.x_cols and args.z_cols and args.y_col):
             raise ValidationError("--x-cols, --z-cols and --y-col are required without --lag")
         x_cols, z_cols = args.x_cols.split(","), args.z_cols.split(",")
-        table = dataio.read_csv(args.data, date_col=args.date_col, columns=[*x_cols, *z_cols, args.y_col])
+        table = dataio.read_csv(args.data, columns=[*x_cols, *z_cols, args.y_col])
         ds = dataio.dataset_from_table(table, x_cols, z_cols, args.y_col)
     mapped, mapped_names = dataio.FEATURE_MAPS[feature_map]
     d = ds.X.shape[1]
@@ -253,10 +261,10 @@ def cmd_experiment(args) -> int:
     ]
     dataio.write_table(out / "per_run.csv", ["run", "predictor", "delta_inlier_pct", "delta_outlier_pct"], per_run)
     if curves is not None:
-        # one column of bin centres, then each curve's MSE and row count
-        columns = [c for name, mse in curves.mse.items() for c in (mse, curves.counts[name])]
-        header = ["z_center"] + [f"{col}_{name}" for name in curves.mse for col in ("mse", "count")]
-        dataio.write_table(out / "curves.csv", header, zip(curves.centers, *columns))
+        # each bin's centre and row count, the same for every curve, then each curve's MSE
+        header = ["z_center", "count"] + [f"mse_{name}" for name in curves.mse]
+        rows = zip(curves.centers, curves.counts["robust"], *curves.mse.values())
+        dataio.write_table(out / "curves.csv", header, rows)
 
     print((out / "delta_table.csv").read_text(), end="")
     print(f"outputs written to {out}")
@@ -291,7 +299,7 @@ _alpha.__name__ = "float"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robustpred",
         description="Robust linear prediction with a missing feature block.",
         epilog="Exit codes: 0 success, 2 validation failure, 3 numerical failure.",
@@ -328,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lag", type=_POSITIVE_INT, help="build 2L lagged features")
         p.add_argument("--nox-col", default="nox", help="NOx column for --lag")
         p.add_argument("--o3-col", default="o3", help="O3 column for --lag")
-        p.add_argument("--date-col")
 
     p = command("simulate", cmd_simulate, "write synthetic train/test CSVs")
     process_flags(p)
@@ -376,7 +383,7 @@ def main(argv=None) -> int:
             # argv[0] is the subcommand; its own flags, after the file's, win
             args = parser.parse_args([args.subcommand, *_config_flags(args.config, args.parser), *argv[1:]])
         return args.func(args)
-    except SystemExit as exc:  # argparse has printed the usage error or the help
+    except SystemExit as exc:  # argparse has printed its error line or the help
         return exc.code
     # a LinAlgError is a ValueError too, so the numerical clause comes first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -7,7 +7,8 @@ a quadratic function of z and x and exposes [z, z^2] as the missing block.
 
 t draws used inside the processes are rescaled to unit variance (divide by
 sqrt(dof / (dof - 2))) so the configured rho is literally the correlation
-between z and each coordinate of x when the x-noise is off. The raw sampler
+between z and each coordinate of x when the x-noise is off; so both degrees
+of freedom must exceed 2, where a t variance exists. The raw sampler
 ``sample_t`` performs no such normalization.
 """
 
@@ -47,8 +48,10 @@ class SyntheticConfig:
     def __post_init__(self):
         if not -1.0 <= self.rho <= 1.0:
             raise ValidationError("rho must lie in [-1, 1]")
-        if self.nu_z < 1 or self.nu_u < 1:
-            raise ValidationError("degrees of freedom must be >= 1")
+        for name in ("nu_z", "nu_u"):
+            dof = getattr(self, name)
+            if not dof > 2:
+                raise ValidationError(f"{name} must be > 2 so that the t draw has a variance, got {dof}")
         if self.noise_x_var < 0 or self.noise_y_var < 0:
             raise ValidationError("noise variances must be >= 0")
         if self.sigma_u is None:
@@ -118,6 +121,12 @@ def _shape_t(g: np.ndarray, w: np.ndarray, dof: float, scale) -> np.ndarray:
     for start in range(0, len(g), _ROW_BLOCK):
         block = g[start : start + _ROW_BLOCK]
         np.matmul(block, at, out=block)
+    return _over_root_chisquare(g, w, dof)
+
+
+def _over_root_chisquare(g: np.ndarray, w: np.ndarray, dof: float) -> np.ndarray:
+    """``g`` divided in place, row by row, by the root of ``2 * w / dof``;
+    ``w`` is left holding the divisors."""
     w += w
     w /= dof
     g /= np.sqrt(w, out=w)[:, None]
@@ -135,8 +144,7 @@ def sample_t(dof: float, scale, n: int, seed: int) -> np.ndarray:
 
 
 def _unit_variance_factor(dof: float) -> float:
-    # dof <= 2 has no variance; leave those draws unscaled
-    return np.sqrt(dof / (dof - 2.0)) if dof > 2.0 else 1.0
+    return np.sqrt(dof / (dof - 2.0))
 
 
 def _raw_buffers(n: int) -> tuple:
@@ -145,9 +153,9 @@ def _raw_buffers(n: int) -> tuple:
     return np.empty((n, 1)), np.empty(n), np.empty((n, 3)), np.empty(n), np.empty((n, 3)), np.empty(n)
 
 
-# The draws and shapes below call no public function: evalkit runs _draw on
-# a helper thread, where a call that perfbench's single-stack span tracer
-# wraps would break its span nesting.
+# _draw calls no public function: evalkit runs it on a helper thread, where
+# a call that perfbench's single-stack span tracer wraps would break its span
+# nesting.
 def _draw(cfg: SyntheticConfig, seed: int, raw: tuple) -> tuple:
     """Fill ``raw`` (from ``_raw_buffers``) with the generator draws of
     seed ``seed``; ``cfg`` gives the degrees of freedom. Returns ``raw``."""
@@ -164,9 +172,10 @@ def _shape_common(cfg: SyntheticConfig, raw: tuple):
     """(z, x, eps_y) over the buffers of a draw, and a spare n-buffer.
 
     Scaled and summed in place, one operation at a time in the order of
-    z = t / f, u = t / f, x = rho * z + u + eps_x: bitwise those formulas."""
+    z = t / f, u = t / f, x = rho * z + u + eps_x: bitwise those formulas. A
+    scalar t has no scale product, only the root-chi-square divisor."""
     gz, wz, gx, wx, eps_x, eps_y = raw
-    z = _shape_t(gz, wz, cfg.nu_z, np.eye(1))[:, 0]
+    z = _over_root_chisquare(gz, wz, cfg.nu_z)[:, 0]
     z /= _unit_variance_factor(cfg.nu_z)
     x = _shape_t(gx, wx, cfg.nu_u, cfg.sigma_u)
     x /= _unit_variance_factor(cfg.nu_u)
@@ -190,19 +199,12 @@ def _shape_linear(cfg: SyntheticConfig, raw: tuple):
 
 def generate_linear(cfg: SyntheticConfig):
     """Draw (X: n x 3, Z: n x 1, y) from the linear process, seeded."""
-    return _linear(cfg)
-
-
-def _linear(cfg: SyntheticConfig):
     return _shape_linear(cfg, _draw(cfg, cfg.seed, _raw_buffers(cfg.n)))
 
 
 def feature_map_quadratic(X) -> np.ndarray:
     """Append elementwise squares after the linear columns: (x, x^2)."""
-    return _quadratic(np.atleast_2d(np.asarray(X, dtype=float)))
-
-
-def _quadratic(X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.hstack([X, X**2])
 
 
@@ -212,10 +214,6 @@ def generate_poly(cfg: PolyConfig):
     The returned missing block is [z, z^2]; the matching nonlinear pipeline
     fits on the quadratic feature map of x.
     """
-    return _poly(cfg)
-
-
-def _poly(cfg: PolyConfig):
     return _shape_poly(cfg, _draw(cfg, cfg.seed, _raw_buffers(cfg.n)))
 
 
@@ -223,6 +221,6 @@ def _shape_poly(cfg: PolyConfig, raw: tuple):
     """The polynomial process's (X, Z_features, y) over the buffers of a draw."""
     z, x, eps_y, _ = _shape_common(cfg, raw)
     psi = np.column_stack([z, z**2])
-    phi = _quadratic(x)
+    phi = feature_map_quadratic(x)
     y = psi @ np.asarray(cfg.wz, dtype=float) + phi @ np.asarray(cfg.wx, dtype=float) + eps_y
     return x, psi, y

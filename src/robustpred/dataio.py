@@ -79,12 +79,10 @@ def _cell(v) -> str:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Column-oriented numeric table; gaps are NaN. Dates, when present, are
-    kept as ISO-8601 strings alongside the numeric columns."""
+    """Column-oriented numeric table; gaps are NaN."""
 
     names: tuple
     columns: dict
-    dates: tuple = None
 
     @property
     def n(self) -> int:
@@ -101,13 +99,16 @@ def read_csv(path, date_col: str = None, columns=None) -> RawTable:
 
     ``columns`` names the numeric columns to read, by default every column
     but ``date_col``; the table holds them in header order. A cell of a
-    column nobody reads is never parsed. Empty or NA-like cells become gaps
-    (NaN). Any other non-numeric cell of a column read is an error naming
-    its data row (1-based) and column; so is a row whose cell count is not
-    the header's, and a header that repeats a name or lacks ``date_col``
-    or a name in ``columns``.
+    column nobody reads, such as ``date_col``, is never parsed. Empty or
+    NA-like cells become gaps (NaN). Any other non-numeric cell of a column
+    read, such as one holding a byte that is not text in the file's
+    encoding, is an error naming its data row (1-based) and column; so is a
+    row whose cell count is not the header's, and a header that holds such
+    a byte, repeats a name or lacks ``date_col`` or a name in ``columns``.
+    A byte-order mark before the header is dropped.
     """
-    with open(path, newline="") as fh:
+    # an undecodable byte becomes a lone surrogate, which no number holds
+    with open(path, newline="", errors="surrogateescape") as fh:
         try:
             header, head_lines = _read_header(fh)
         except csv.Error as exc:
@@ -116,50 +117,48 @@ def read_csv(path, date_col: str = None, columns=None) -> RawTable:
     if header is None:
         raise CsvParseError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in header]
+    if bad := re.search("[\udc80-\udcff]", "".join(header)):
+        raise CsvParseError(f"{path}: header row: byte {ord(bad[0]) - 0xDC00:#x} is not {encoding} text")
     repeated = [h for i, h in enumerate(header) if h in header[:i]]
     if repeated:
         raise CsvParseError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     if date_col is not None and date_col not in header:
         raise CsvParseError(f"{path}: no date column {date_col!r} in the header")
     numeric_names = [h for h in header if h != date_col]
-    if columns is not None:
-        absent = [c for c in columns if c not in numeric_names]
-        if absent:
-            raise CsvParseError(f"no column named {absent[0]!r}; have {numeric_names}")
+    absent = [c for c in columns or () if c not in numeric_names]
+    if absent:
+        raise CsvParseError(f"no column named {absent[0]!r}; have {numeric_names}")
     names = tuple(h for h in numeric_names if columns is None or h in columns)
-    parsed = _parse_body(path, encoding, head_lines, header, names, date_col)
-    if parsed is not None:
-        values, dates = parsed
-        return RawTable(names=names, columns=dict(zip(names, values)), dates=dates)
-    with _open_body(path, len(head_lines)) as fh:
-        return _read_cells(path, fh, header, names, date_col)
+    values = _parse_body(path, encoding, head_lines, header, names)
+    if values is None:
+        with _open_body(path, len(head_lines)) as fh:
+            values = _read_cells(path, fh, header, names)
+    return RawTable(names=names, columns=dict(zip(names, values)))
 
 
 def _read_header(fh):
-    """The header row at the start of ``fh`` (None for an empty file) and
-    the lines it spans, as read."""
+    """The header row at the start of ``fh`` (None for an empty file),
+    without a byte-order mark, and the lines it spans, as read."""
     lines = []
 
     def kept():
         for line in fh:
             lines.append(line)
-            yield line
+            yield line.removeprefix("\ufeff") if len(lines) == 1 else line
 
     return next(csv.reader(kept()), None), lines
 
 
-def _parse_body(path, encoding, head_lines, header, names, date_col):
-    """The body's ``names`` columns as contiguous float arrays, and its dates
-    (None without ``date_col``), from numpy's C reader; or None when only the
-    cell loop reads the body the same way.
+def _parse_body(path, encoding, head_lines, header, names):
+    """The body's ``names`` columns as contiguous float arrays from numpy's C
+    reader, or None when only the cell loop reads the body the same way.
 
     numpy reads a path in chunks, but only a generator or file object line
     by line, so the path is what it gets. Every header column has a field:
     float for a column read, one character for any other, so numpy checks
     each row's cell count against the header's. numpy skips blank lines and
     does not read quotes, so its result is kept only when it has one row per
-    line of a body with no quote in it. The dates come from one more pass
-    over the date column alone.
+    line of a body with no quote in it.
     """
     path = os.fsdecode(path)
     if not header or path.endswith(_COMPRESSED_SUFFIXES):
@@ -173,7 +172,7 @@ def _parse_body(path, encoding, head_lines, header, names, date_col):
         # loop to report (numpy would warn that it found no data)
         if n_lines:
             return None
-        return [np.empty(0) for _ in names], () if date_col is not None else None
+        return [np.empty(0) for _ in names]
     fields = [f"f{i}" for i in range(len(header))]
     dtype = np.dtype({"names": fields, "formats": ["f8" if h in names else "U1" for h in header]})
     skip = len(head_lines)
@@ -193,12 +192,7 @@ def _parse_body(path, encoding, head_lines, header, names, date_col):
             return None
     if len(rows) != n_lines:
         return None
-    values = [np.ascontiguousarray(rows[fields[header.index(name)]]) for name in names]
-    dates = None
-    if date_col is not None:
-        cells = read(path, dtype=object, skiprows=skip, usecols=header.index(date_col))
-        dates = tuple(map(str.strip, cells.tolist()))
-    return values, dates
+    return [np.ascontiguousarray(rows[fields[header.index(name)]]) for name in names]
 
 
 def _scan_body(path, offset: int):
@@ -238,28 +232,24 @@ def _spell_gaps(body: str):
 
 
 def _open_body(path, n_head: int):
-    """``path`` opened as text, after its first ``n_head`` lines."""
-    fh = open(path, newline="")
+    """``path`` opened as ``read_csv`` opens it, after its first ``n_head`` lines."""
+    fh = open(path, newline="", errors="surrogateescape")
     for _ in range(n_head):
         fh.readline()
     return fh
 
 
-def _read_cells(path, fh, header, names, date_col) -> RawTable:
-    """The per-cell parse of the body left in ``fh``. It reads the bodies
-    numpy reads otherwise, and it reports the first row or cell that no
-    parse can read."""
+def _read_cells(path, fh, header, names) -> list:
+    """The per-cell parse of the body left in ``fh``, as ``_parse_body``
+    gives it. It reads the bodies numpy reads otherwise, and it reports the
+    first row or cell that no parse can read."""
     read = [(i, name) for i, name in enumerate(header) if name in names]
     cols = {name: [] for name in names}
-    date_at = header.index(date_col) if date_col is not None else None
-    dates = [] if date_col is not None else None
     r = 0
     try:
         for r, row in enumerate(csv.reader(fh), start=1):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            if dates is not None:
-                dates.append(row[date_at].strip())
             for i, name in read:
                 cell = row[i].strip()
                 if cell.lower() in _GAP_TOKENS:
@@ -271,11 +261,7 @@ def _read_cells(path, fh, header, names, date_col) -> RawTable:
                     raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
     except csv.Error as exc:  # the reader failed on the row after row r
         raise CsvParseError(f"{path}: row {r + 1}: {exc}") from None
-    return RawTable(
-        names=names,
-        columns={k: np.asarray(v, dtype=float) for k, v in cols.items()},
-        dates=tuple(dates) if dates is not None else None,
-    )
+    return [np.asarray(cols[name], dtype=float) for name in names]
 
 
 def write_csv(path, names, columns, dates=None) -> None:
@@ -325,7 +311,6 @@ class Dataset:
     Z: np.ndarray
     y: np.ndarray
     column_names: tuple = ()
-    dates: tuple = None
     n_dropped: int = 0
 
     @property
@@ -343,7 +328,6 @@ def dataset_from_table(table: RawTable, x_cols, z_cols, y_col) -> Dataset:
     )
     y = table.column(y_col)
     ok = np.isfinite(X).all(axis=1) & np.isfinite(Z).all(axis=1) & np.isfinite(y)
-    dates = tuple(np.asarray(table.dates)[ok]) if table.dates is not None else None
     if not ok.any():
         raise ValueError("no usable rows after dropping gaps")
     return Dataset(
@@ -351,7 +335,6 @@ def dataset_from_table(table: RawTable, x_cols, z_cols, y_col) -> Dataset:
         Z=Z[ok],
         y=y[ok],
         column_names=tuple(x_cols) + tuple(z_cols) + (y_col,),
-        dates=dates,
         n_dropped=int((~ok).sum()),
     )
 
@@ -391,9 +374,7 @@ def build_lagged(table: RawTable, spec: LagSpec) -> Dataset:
     if not starts.size:
         raise ValueError("no usable rows: every window contains a gap")
     t = starts + L
-    names = tuple(
-        f"{spec.nox_column}_lag{L - i}" for i in range(L)
-    ) + tuple(f"{spec.o3_column}_lag{L - i}" for i in range(L))
+    names = tuple(f"{col}_lag{L - i}" for col in (spec.nox_column, spec.o3_column) for i in range(L))
     return Dataset(
         X=np.concatenate(
             [sliding_window_view(nox, L)[starts], sliding_window_view(o3, L)[starts]], axis=1
@@ -401,39 +382,20 @@ def build_lagged(table: RawTable, spec: LagSpec) -> Dataset:
         Z=o3[t][:, None],
         y=nox[t],
         column_names=names + (f"{spec.o3_column}_now", spec.nox_column),
-        dates=tuple(table.dates[i] for i in t.tolist()) if table.dates is not None else None,
         n_dropped=n - L - starts.size,
     )
 
 
-def split_chronological(dataset: Dataset, fraction: float = None, boundary: str = None):
-    """Order-preserving prefix/suffix split by fraction or ISO-date boundary.
-
-    With a boundary, rows dated strictly before it go to the training side.
-    """
-    if (fraction is None) == (boundary is None):
-        raise ValueError("give exactly one of fraction or boundary")
-    if boundary is not None:
-        if dataset.dates is None:
-            raise ValueError("dataset has no dates; use a fraction split")
-        k = int(np.sum(np.asarray(dataset.dates) < boundary))
-    else:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        k = int(round(dataset.n * fraction))
+def split_chronological(dataset: Dataset, fraction: float):
+    """Order-preserving prefix/suffix split: the first ``fraction`` of the
+    rows, rounded, go to the training side."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be in (0, 1)")
+    k = int(round(dataset.n * fraction))
     if k == 0 or k == dataset.n:
         raise ValueError("split leaves one side empty")
-
-    def take(sl):
-        return replace(
-            dataset,
-            X=dataset.X[sl],
-            Z=dataset.Z[sl],
-            y=dataset.y[sl],
-            dates=tuple(dataset.dates[sl]) if dataset.dates is not None else None,
-        )
-
-    return take(slice(None, k)), take(slice(k, None))
+    sides = (slice(None, k), slice(k, None))
+    return tuple(replace(dataset, X=dataset.X[sl], Z=dataset.Z[sl], y=dataset.y[sl]) for sl in sides)
 
 
 def _vec_line(key, v):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import PolyConfig, SyntheticConfig, _draw, _quadratic, _raw_buffers, _shape_linear, _shape_poly
+from .datagen import PolyConfig, SyntheticConfig, _draw, _raw_buffers, _shape_linear, _shape_poly, feature_map_quadratic
 from .gate import is_outlier
 from .linalg import SecondMoments, ShapeError, ValidationError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
@@ -158,7 +158,7 @@ class CurveSet:
 
     centers: np.ndarray
     mse: dict  # name -> array (nan where the bin stayed empty)
-    counts: dict  # name -> total rows per bin
+    counts: dict  # name -> total rows per bin, one array shared by every name
 
 
 def _shape(cfg, raw):
@@ -166,7 +166,7 @@ def _shape(cfg, raw):
     ``generate_linear``, or the quadratic feature map over ``generate_poly``."""
     if isinstance(cfg, PolyConfig):
         x_raw, Z, y = _shape_poly(cfg, raw)
-        return _quadratic(x_raw), Z, y
+        return feature_map_quadratic(x_raw), Z, y
     return _shape_linear(cfg, raw)
 
 
@@ -313,7 +313,7 @@ def run_mc_experiment(
             name: np.where(counts > 0, sq_sums[name] / np.maximum(counts, 1), np.nan)
             for name in curve_names
         }
-        curves = CurveSet(centers=centers, mse=mse, counts={name: counts.copy() for name in curve_names})
+        curves = CurveSet(centers=centers, mse=mse, counts=dict.fromkeys(curve_names, counts))
     return table, curves
 
 

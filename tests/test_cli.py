@@ -113,13 +113,6 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
 
-    def test_date_col_absent_from_header(self, tmp_path, capsys):
-        out = simulate(tmp_path)
-        code = run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--date-col", "when",
-                   "--model-out", str(tmp_path / "m.txt"))
-        assert code == EXIT_VALIDATION
-        assert "'when'" in capsys.readouterr().err
-
     def test_refit_identical_model_file(self, tmp_path):
         out = simulate(tmp_path)
         for sub in ("m1", "m2"):
@@ -478,6 +471,34 @@ class TestPredict:
                        "--x-cols", "x1,x2,x3", "--out", str(tmp_path / "preds" / f"{name}.csv")) == EXIT_OK
         assert (tmp_path / "preds" / "clean.csv").read_bytes() == (tmp_path / "preds" / "bad_z.csv").read_bytes()
 
+    def test_date_col_absent_from_header(self, tmp_path, capsys):
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--model-out", str(model)) == EXIT_OK
+        capsys.readouterr()
+        code = run("predict", "--model", str(model), "--data", str(out / "test.csv"), "--x-cols", "x1,x2,x3",
+                   "--date-col", "when", "--out", str(tmp_path / "preds.csv"))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {out / 'test.csv'}: no date column 'when' in the header\n"
+
+    def test_date_col_skipped_by_the_all_columns_default(self, tmp_path):
+        # without --x-cols predict reads every column but --date-col; a
+        # leading date column, in any text, changes no byte of the predictions
+        out = simulate(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run("fit", "--data", str(out / "train.csv"), *SCHEMA, "--model-out", str(model)) == EXIT_OK
+        with open(out / "test.csv", newline="") as fh:
+            rows = [r[:3] for r in csv.reader(fh)]
+        dated = [["day", *rows[0]]] + [[f"{i} mars", *r] for i, r in enumerate(rows[1:])]
+        for name, table in (("plain", rows), ("dated", dated)):
+            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+        assert run("predict", "--model", str(model), "--data", str(tmp_path / "plain.csv"),
+                   "--out", str(tmp_path / "plain_preds.csv")) == EXIT_OK
+        assert run("predict", "--model", str(model), "--data", str(tmp_path / "dated.csv"), "--date-col", "day",
+                   "--out", str(tmp_path / "dated_preds.csv")) == EXIT_OK
+        assert (tmp_path / "plain_preds.csv").read_bytes() == (tmp_path / "dated_preds.csv").read_bytes()
+
     def test_no_data_rows(self, tmp_path, capsys):
         out = simulate(tmp_path)
         model = tmp_path / "model.txt"
@@ -565,9 +586,7 @@ class TestExperiment:
             argv = ("fit", "--data", str(tmp_path / "absent.csv"), *SCHEMA, "--model-out", str(out / "m.txt"))
         assert run(*argv, "--alpha", alpha) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"robustpred {command}: error: argument --alpha: must be in (0, 1], got {float(alpha)}"
-        ]
+        assert err == f"error: argument --alpha: must be in (0, 1], got {float(alpha)}\n"
         assert calls == [] and not out.exists()
 
     def test_no_completed_run_fails_loudly(self, tmp_path, capsys):
@@ -662,3 +681,47 @@ class TestLaggedPipeline:
                    "--lag", "7", "--out", str(report)) == EXIT_OK
         lines = report.read_text().splitlines()
         assert len(lines) == 4
+
+
+class TestUsageErrors:
+    """A bad flag, flag value or setting is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(("experiment", "--alpha", "0"), "--alpha"), (("experiment", "--n-runs", "0"), "--n-runs"),
+         (("experiment", "--bogus", "1"), "--bogus"), (("simulate", "--n-test", "x"), "--n-test"),
+         (("fit", "--date-col", "x", "--data", "d.csv", "--x-cols", "a", "--z-cols", "b", "--y-col", "c"),
+          "--date-col"),
+         (("evaluate", "--date-col", "x", "--model", "m.txt", "--data", "d.csv", "--lag", "2"), "--date-col")],
+    )
+    def test_argparse_error_is_one_line(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        paths = {"fit": ("--model-out", str(out / "m.txt"))}.get(argv[0], ("--out", str(out)))
+        assert run(*argv, *paths) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, err
+        assert not out.exists()
+
+    def test_config_key_error_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("out=elsewhere\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:1: out cannot be set in a config file; give --out on the command line\n"
+
+    def test_help_unchanged(self, capsys):
+        assert run("experiment", "--help") == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: robustpred experiment [-h]") and "--n-runs N_RUNS" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("flag,name", [("--nu-z", "nu_z"), ("--nu-u", "nu_u")])
+    @pytest.mark.parametrize("dof", ["1", "1.5", "2"])
+    def test_dof_without_a_variance_rejected(self, tmp_path, capsys, command, flag, name, dof):
+        # --rho is the correlation of z and x only when both t draws have a variance
+        out = tmp_path / "o"
+        size = ("--n-runs", "1") if command == "experiment" else ("--n", "50")
+        assert run(command, flag, dof, *size, "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be > 2 so that the t draw has a variance, got {float(dof)}\n"
+        assert not out.exists()

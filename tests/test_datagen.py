@@ -83,6 +83,13 @@ class TestGenerateLinear:
         with pytest.raises(ValidationError):
             SyntheticConfig(rho=1.5)
 
+    @pytest.mark.parametrize("name", ["nu_z", "nu_u"])
+    @pytest.mark.parametrize("dof", [1.0, 1.5, 2.0, float("nan")])
+    def test_dof_without_a_variance_rejected(self, name, dof):
+        # the unit-variance factor sqrt(dof / (dof - 2)) needs dof > 2
+        with pytest.raises(ValidationError, match=f"^{name} must be > 2"):
+            SyntheticConfig(**{name: dof})
+
 
 class TestGeneratePoly:
     def test_zero_weights_zero_noise(self):
@@ -137,7 +144,7 @@ def formula_draws(cfg):
         return g / np.sqrt(w)[:, None]
 
     def unit_variance(dof):
-        return np.sqrt(dof / (dof - 2.0)) if dof > 2.0 else 1.0
+        return np.sqrt(dof / (dof - 2.0))
 
     z = t_draws(cfg.nu_z, np.eye(1))[:, 0] / unit_variance(cfg.nu_z)
     u = t_draws(cfg.nu_u, cfg.sigma_u) / unit_variance(cfg.nu_u)
@@ -156,12 +163,12 @@ def assert_bitwise(got, expected):
 
 LINEAR_CONFIGS = [
     {},
-    {"rho": -0.4, "nu_z": 2.0, "nu_u": 1.5, "noise_x_var": 0.0},
+    {"rho": -0.4, "nu_z": 2.5, "nu_u": 4.5, "noise_x_var": 0.0},
     {"rho": 0.0, "sigma_u": np.zeros((3, 3)), "noise_x_var": 0.0, "noise_y_var": 0.0},
 ]
 
 
-# the last two n span several row blocks of the scale product in _t_draws
+# the last two n span several row blocks of the scale product in _shape_t
 @pytest.mark.parametrize("n", [1, 7, 1000, 2 * _ROW_BLOCK + 7, 100_000])
 @pytest.mark.parametrize("seed", [0, 3, 12345])
 class TestDrawsMatchFormulas:
@@ -192,7 +199,7 @@ class TestDrawsMatchFormulas:
     def test_poly_draw_then_shape_in_reused_buffers(self, n, seed):
         cfg = PolyConfig(n=n, seed=seed, rho=0.9, wz=(0.5, -1.0))
         raw = _raw_buffers(n)
-        _shape_linear(SyntheticConfig(n=n, nu_z=1.5), _draw(SyntheticConfig(n=n, nu_z=1.5), seed + 1, raw))
+        _shape_linear(SyntheticConfig(n=n, nu_z=4.5), _draw(SyntheticConfig(n=n, nu_z=4.5), seed + 1, raw))
         z, x, eps_y = formula_draws(cfg)
         psi = np.column_stack([z, z**2])
         y = psi @ np.asarray(cfg.wz) + np.hstack([x, x**2]) @ np.asarray(cfg.wx) + eps_y

@@ -63,11 +63,12 @@ class TestReadCsv:
         np.testing.assert_array_equal(t.column("v"), cols["v"])
 
     def test_date_column(self, tmp_path):
+        # the date column is checked in the header and skipped, never parsed
         p = tmp_path / "f.csv"
-        p.write_text("date,a\n2020-01-01,1\n2020-01-02,2\n")
+        p.write_text("date,a\n2020-01-01,1\n2 janvier,2\n")
         t = read_csv(p, date_col="date")
-        assert t.dates == ("2020-01-01", "2020-01-02")
-        assert "date" not in t.columns
+        assert t.names == ("a",) and list(t.columns) == ["a"]
+        np.testing.assert_array_equal(t.column("a"), [1.0, 2.0])
 
 
 NAN = float("nan")
@@ -96,7 +97,7 @@ class TestReadCsvEdgeCases:
         p = tmp_path / "t.csv"
         p.write_bytes(text.encode())
         t = read_csv(p)
-        assert t.names == tuple(columns) and t.dates is None
+        assert t.names == tuple(columns) and list(t.columns) == list(columns)
         for name, want in columns.items():
             got = t.column(name)
             assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -295,7 +296,7 @@ class TestReadCsvColumns:
         for columns in SUBSETS:
             t = read_csv(p, date_col="date", columns=columns)
             assert t.names == tuple(n for n in "abc" if columns is None or n in columns)
-            assert t.dates == tuple(d.strip() for d in dates)
+            assert list(t.columns) == list(t.names)
             for name in t.names:
                 assert_bitwise(t.column(name), cols[name])
 
@@ -315,12 +316,49 @@ class TestReadCsvColumns:
                 except CsvParseError:
                     pass
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_byte_order_mark_dropped(self, tmp_path, monkeypatch, bom, end):
+        # the body starts 3 bytes later with a mark than without one; a scan
+        # from the wrong byte counts a line too many or too few, which sends
+        # the read to the cell loop
+        p = tmp_path / "t.csv"
+        p.write_bytes(f'{bom}"x1",x2,date{end}1,2,d1{end}3,4,d2{end}'.encode())
+        forbid_slow_paths(monkeypatch)
+        for columns in (None, ["x1"], ["x2"]):
+            t = read_csv(p, date_col="date", columns=columns)
+            assert t.names == tuple(n for n in ("x1", "x2") if columns is None or n in columns)
+            for name, want in (("x1", [1, 3]), ("x2", [2, 4])):
+                if name in t.names:
+                    assert_bitwise(t.column(name), want)
+        p.write_bytes(f"{bom}x1{end}1{end}".encode())
+        assert_bitwise(read_csv(p).column("x1"), [1])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_byte_that_is_not_utf8(self, tmp_path, end):
+        # a Latin-1 "é": in the header, and in a cell that is read, an error
+        # naming the row; in a cell nobody reads, skipped like the cell
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"x1,caf\xe9{end}1,2{end}".encode("latin-1"))
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(p, columns=["x1"])
+        # the locale's name for the encoding may be upper case
+        assert str(exc.value).lower() == f"{p}: header row: byte 0xe9 is not utf-8 text".lower()
+        p.write_bytes(f"x1,x2,date{end}1,2,1 f\xe9v{end}3,4\xe9,2 f\xe9v{end}5,6,3 f\xe9v{end}".encode("latin-1"))
+        for kwargs, where in (({}, "row 1, column date"), ({"columns": ["x2"]}, "row 2, column x2"),
+                              ({"date_col": "date"}, "row 2, column x2")):
+            with pytest.raises(CsvParseError) as exc:
+                read_csv(p, **kwargs)
+            assert str(exc.value) == f"{p}: non-numeric cell at {where}"
+        t = read_csv(p, date_col="date", columns=["x1"])
+        assert_bitwise(t.column("x1"), [1, 3, 5])
+
     def test_header_without_rows(self, tmp_path):
         for text in ("date,a,b", "date,a,b\r\n"):
             p = tmp_path / "t.csv"
             p.write_bytes(text.encode())
             t = read_csv(p, date_col="date", columns=["b"])
-            assert t.names == ("b",) and t.n == 0 and t.dates == ()
+            assert t.names == ("b",) and list(t.columns) == ["b"] and t.n == 0
             assert t.column("b").dtype == np.float64
 
 
@@ -391,28 +429,28 @@ class TestSplitChronological:
         assert train.n == 7 and test.n == 3
         assert train.y[-1] < test.y[0]
 
-    def test_boundary_before_first_row(self):
-        ds = dataset_from_table(
-            RawTable(names=("a", "y"), columns={"a": np.arange(3.0), "y": np.arange(3.0)},
-                     dates=("2020-01-01", "2020-01-02", "2020-01-03")),
-            ["a"], [], "y",
-        )
-        with pytest.raises(ValueError):
-            split_chronological(ds, boundary="2019-01-01")
+    @pytest.mark.parametrize("fraction", [0.1, 0.9])
+    def test_split_leaving_one_side_empty(self, fraction):
+        ds = dataset_from_table(make_table(a=np.arange(3.0), y=np.arange(3.0)), ["a"], [], "y")
+        with pytest.raises(ValueError, match="one side empty"):
+            split_chronological(ds, fraction=fraction)
 
-    def test_date_boundary_counts(self):
-        dates = tuple(f"2020-01-{d:02d}" for d in range(1, 11))
-        ds = dataset_from_table(
-            RawTable(names=("a", "y"), columns={"a": np.arange(10.0), "y": np.arange(10.0)}, dates=dates),
-            ["a"], [], "y",
-        )
-        train, test = split_chronological(ds, boundary="2020-01-05")
-        assert train.n == 4 and test.n == 6
+    def test_fraction_rows_rounded(self):
+        ds = dataset_from_table(make_table(a=np.arange(10.0), z=-np.arange(10.0), y=np.arange(10.0)), ["a"], ["z"], "y")
+        for fraction, k in ((0.44, 4), (0.46, 5), (0.66, 7)):
+            train, test = split_chronological(ds, fraction=fraction)
+            assert (train.n, test.n) == (k, 10 - k)
+            for side, rows in ((train, slice(None, k)), (test, slice(k, None))):
+                np.testing.assert_array_equal(side.X, ds.X[rows])
+                np.testing.assert_array_equal(side.Z, ds.Z[rows])
+                np.testing.assert_array_equal(side.y, ds.y[rows])
+                assert side.column_names == ds.column_names
 
-    def test_exactly_one_selector(self):
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval(self, fraction):
         ds = dataset_from_table(make_table(a=[1.0, 2.0], y=[1.0, 2.0]), ["a"], [], "y")
-        with pytest.raises(ValueError):
-            split_chronological(ds)
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\)"):
+            split_chronological(ds, fraction=fraction)
 
 
 @pytest.fixture(scope="module")

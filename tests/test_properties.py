@@ -330,21 +330,17 @@ def test_write_table_cells_read_back(tmp_path_factory, case):
 
 def reference_read_csv(path, date_col=None, columns=None):
     """The per-cell parse: csv.reader rows, stripped cells, NA-like gaps.
-    Returns the numeric columns asked for, in header order, and the stripped
-    date cells (None without ``date_col``)."""
-    with open(path, newline="") as fh:
+    Returns the numeric columns asked for, in header order; the cells of
+    ``date_col`` and of the other columns not asked for are not parsed."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         cols = {name: [] for name in header if name != date_col and (columns is None or name in columns)}
-        dates = []
         for r, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             for name, cell in zip(header, row):
                 cell = cell.strip()
-                if name == date_col:
-                    dates.append(cell)
-                    continue
                 if name not in cols:
                     continue
                 if cell.lower() in {"", "na", "nan", "null", "none"}:
@@ -354,8 +350,7 @@ def reference_read_csv(path, date_col=None, columns=None):
                     cols[name].append(float(cell))
                 except ValueError:
                     raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
-    columns = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
-    return columns, tuple(dates) if date_col is not None else None
+    return {k: np.asarray(v, dtype=float) for k, v in cols.items()}
 
 
 CELLS = st.sampled_from(
@@ -367,43 +362,42 @@ SEPARATORS = st.sampled_from([",", ",", ",", "\n", "\n", "\r\n", "\r", "\n\n", "
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    st.sampled_from(["a\n", "a,b\n", "a,b,c\r\n"]),
+    st.sampled_from(["a\n", "a,b\n", "a,b,c\r\n", "\ufeffa,b\n"]),
     st.lists(st.tuples(CELLS, SEPARATORS), max_size=12),
     st.sampled_from(["", "\n", "\r\n"]),
     st.data(),
 )
 def test_read_csv_matches_cell_parse(tmp_path_factory, header, cells, end, data):
     # a date column, or none, and a subset of the other columns in any order
-    names = header.strip().split(",")
+    names = header.strip().lstrip("\ufeff").split(",")
     date_col = data.draw(st.none() | st.sampled_from(names), label="date_col")
     numeric = [n for n in names if n != date_col]
     columns = data.draw(st.none() | st.permutations(numeric).flatmap(lambda p: st.sampled_from([p[:k] for k in range(len(p) + 1)])), label="columns")
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes((header + "".join(c + s for c, s in cells) + end).encode())
     try:
-        want, dates = reference_read_csv(path, date_col, columns)
+        want = reference_read_csv(path, date_col, columns)
     except CsvParseError as exc:
         with pytest.raises(CsvParseError) as got:
             read_csv(path, date_col=date_col, columns=columns)
         assert str(got.value) == str(exc)
         return
     table = read_csv(path, date_col=date_col, columns=columns)
-    assert table.names == tuple(want) and table.dates == dates
+    assert table.names == tuple(want) and list(table.columns) == list(want)
     for name, column in want.items():
         np.testing.assert_array_equal(bits(table.column(name)), bits(column))
 
 
-def reference_build_lagged(nox, o3, dates, L):
+def reference_build_lagged(nox, o3, L):
     """One window at a time: keep day t when days t-L .. t are all finite."""
-    rows_x, rows_z, rows_y, kept = [], [], [], []
+    rows_x, rows_z, rows_y = [], [], []
     for t in range(L, len(nox)):
         x = np.concatenate([nox[t - L : t], o3[t - L : t]])
         if np.isfinite(x).all() and np.isfinite(o3[t]) and np.isfinite(nox[t]):
             rows_x.append(x)
             rows_z.append([o3[t]])
             rows_y.append(nox[t])
-            kept.append(dates[t])
-    return np.asarray(rows_x), np.asarray(rows_z), np.asarray(rows_y), tuple(kept)
+    return np.asarray(rows_x), np.asarray(rows_z), np.asarray(rows_y)
 
 
 @PROPERTY_SETTINGS
@@ -414,9 +408,8 @@ def test_build_lagged_matches_window_loop(seed, L, extra, gap_rate):
     nox, o3 = rng.normal(size=n), rng.normal(size=n)
     nox[rng.random(n) < gap_rate] = np.nan
     o3[rng.random(n) < gap_rate] = rng.choice([np.nan, np.inf, -np.inf])
-    dates = tuple(f"2020-{i:05d}" for i in range(n))
-    X, Z, y, kept = reference_build_lagged(nox, o3, dates, L)
-    table = RawTable(names=("nox", "o3"), columns={"nox": nox, "o3": o3}, dates=dates)
+    X, Z, y = reference_build_lagged(nox, o3, L)
+    table = RawTable(names=("nox", "o3"), columns={"nox": nox, "o3": o3})
     if not len(y):
         with pytest.raises(ValueError, match="every window contains a gap"):
             build_lagged(table, LagSpec(L=L))
@@ -426,5 +419,4 @@ def test_build_lagged_matches_window_loop(seed, L, extra, gap_rate):
     np.testing.assert_array_equal(bits(ds.Z), bits(Z))
     np.testing.assert_array_equal(bits(ds.y), bits(y))
     assert ds.X.shape == (len(y), 2 * L) and ds.Z.shape == (len(y), 1)
-    assert ds.dates == kept
     assert ds.n_dropped == n - L - len(y)
