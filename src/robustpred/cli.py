@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -100,7 +101,12 @@ def _synthetic_config(args) -> SyntheticConfig:
     settings = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     if wz != (None, None):
         settings["wz"] = tuple(d if w is None else w for w, d in zip(wz, PolyConfig.wz))
-    return cls(**{k: v for k, v in settings.items() if v is not None})
+    try:
+        return cls(**{k: v for k, v in settings.items() if v is not None})
+    except ValidationError as exc:  # "<setting> must ...": name the flag that set it
+        flag = {"wz[0]": "w0", "wz[1]": "w1"}
+        spelled = re.sub(r"^(\w+(\[\d\])?) must ", lambda m: f"--{flag.get(m[1], m[1])} must ".replace("_", "-"), str(exc))
+        raise ValidationError(spelled) from None
 
 
 def _write_dataset_csv(path, X, Z, y):
@@ -382,7 +388,9 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # argv[0] is the subcommand; its own flags, after the file's, win
             args = parser.parse_args([args.subcommand, *_config_flags(args.config, args.parser), *argv[1:]])
-        return args.func(args)
+        with warnings.catch_warnings():  # a library warning is one line, without source path or text
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except SystemExit as exc:  # argparse has printed its error line or the help
         return exc.code
     # a LinAlgError is a ValueError too, so the numerical clause comes first

@@ -32,6 +32,13 @@ def _default_sigma_u(rho: float) -> np.ndarray:
     return (1.0 - rho**2) * ((1.0 - tau) * np.eye(3) + tau * np.ones((3, 3)))
 
 
+def _require(ok, name: str, domain: str, value) -> None:
+    """Raise ``<name> must be <domain>, got <value>`` unless ``ok``. Each
+    setting's domain is written as a comparison that nan fails."""
+    if not ok:
+        raise ValidationError(f"{name} must be {domain}, got {value}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the linear heavy-tailed process."""
@@ -46,20 +53,17 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValidationError("rho must lie in [-1, 1]")
-        for name in ("nu_z", "nu_u"):
-            dof = getattr(self, name)
-            if not dof > 2:
-                raise ValidationError(f"{name} must be > 2 so that the t draw has a variance, got {dof}")
-        if self.noise_x_var < 0 or self.noise_y_var < 0:
-            raise ValidationError("noise variances must be >= 0")
+        _require(-1.0 <= self.rho <= 1.0, "rho", "in [-1, 1]", self.rho)
+        for name, dof in (("nu_z", self.nu_z), ("nu_u", self.nu_u)):
+            _require(2.0 < dof < np.inf, name, "> 2 and finite so that the t draw has a variance", dof)
+        for name, var in (("noise_x_var", self.noise_x_var), ("noise_y_var", self.noise_y_var)):
+            _require(0.0 <= var < np.inf, name, "finite and >= 0", var)
         if self.sigma_u is None:
             object.__setattr__(self, "sigma_u", _default_sigma_u(self.rho))
         else:
             s = np.asarray(self.sigma_u, dtype=float)
-            if not np.allclose(s, s.T, atol=1e-12):
-                raise ValidationError("sigma_u must be symmetric")
+            if not (np.isfinite(s).all() and np.allclose(s, s.T, atol=1e-12)):
+                raise ValidationError("sigma_u must be finite and symmetric")
             object.__setattr__(self, "sigma_u", s)
 
 
@@ -75,13 +79,13 @@ class PolyConfig(SyntheticConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.nu_z < 5 or self.nu_u < 5:
-            raise ValidationError(
-                "polynomial process requires nu_z >= 5 and nu_u >= 5 so the "
-                "variances of the quadratic terms exist"
-            )
+        for name, dof in (("nu_z", self.nu_z), ("nu_u", self.nu_u)):
+            _require(dof >= 5, name, ">= 5 for the polynomial process, so the variances of its quadratic terms exist", dof)
         if len(self.wz) != 2 or len(self.wx) != 6:
             raise ValidationError("wz must have 2 entries and wx 6")
+        for name in ("wz", "wx"):
+            for i, w in enumerate(getattr(self, name)):
+                _require(np.isfinite(w), f"{name}[{i}]", "finite", w)
 
 
 def _scale_sqrt(scale: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
-"""Dense linear-algebra substrate: second-moment accumulation, pseudoinverse,
-null-space projectors and quadratic minimization over affine sets.
+"""Dense linear-algebra substrate: second-moment accumulation, the
+pseudoinverse and its singular-value cutoff, null-space projectors and the
+sample MSE. The predictors' closed forms (``predictors._fit_linear``) factor
+sxx once and rely on szx's rows lying in sxx's row space, which holds for
+the moments ``accumulate_moments`` returns.
 
 All operations are pure functions over numpy arrays; fitted objects are
 immutable and safe to share between concurrent evaluation runs.
@@ -151,8 +154,7 @@ def null_space_projector(A) -> np.ndarray:
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > DEFAULT_SV_CUTOFF * s[0])) if s.size else 0
     if rank == d:
-        # the null space is {0}; I - V V' would hold roundoff that a
-        # relative-cutoff pseudoinverse downstream blows up to O(1)
+        # the null space is {0}; I - V V' would hold roundoff, not zero
         return np.zeros((d, d))
     vr = vt[:rank]
     pi = np.eye(d) - vr.T @ vr
@@ -164,18 +166,3 @@ def empirical_mse(moments: SecondMoments, w) -> float:
     w = as_vector(w, "w")
     return float(moments.syy - 2.0 * w @ moments.sxy + w @ moments.sxx @ w)
 
-
-def minimize_quadratic_on_affine(moments: SecondMoments, w0, Pi) -> np.ndarray:
-    """Minimize the sample MSE over the affine set {w0 + Pi @ theta}.
-
-    The returned point never has larger sample MSE than the anchor w0; the
-    pseudoinverse absorbs degenerate curvature along the feasible directions.
-    """
-    w0 = as_vector(w0, "w0")
-    Pi = as_matrix(Pi, "Pi")
-    if Pi.shape != (moments.d, moments.d) or w0.shape[0] != moments.d:
-        raise ShapeError("w0/Pi dimensions inconsistent with moments")
-    curvature = Pi.T @ moments.sxx @ Pi
-    gradient = Pi.T @ (moments.sxy - moments.sxx @ w0)
-    theta = pseudoinverse(curvature) @ gradient
-    return w0 + Pi @ theta

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gate import LogisticGate, OutlierRegion, delta_stat, fit_gate, is_outlier, prob_outlier
 from .linalg import ShapeError, _as_rows, accumulate_moments, as_matrix, as_vector, pseudoinverse
-from .predictors import Imputer, LinearPredictor, fit_conservative, fit_imputer, fit_optimistic
+from .predictors import Imputer, LinearPredictor, _fit_linear
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class RobustModel:
 def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     """Fit the adaptive predictor from raw training data.
 
-    Steps: optimistic fit, conservative fit, delta(x_i) and the outlier
-    indicator of each sample, then the logistic gate. Raises
+    Steps: both predictors and the imputer from one SVD of sxx, delta(x_i)
+    and the outlier indicator of each sample, then the logistic gate. Raises
+    ``OutlierRegion``'s ``ValidationError`` for an alpha outside (0, 1], and
     ``SingleClassError`` when alpha yields single-class labels.
     """
     X = as_matrix(X, "X")
@@ -55,8 +56,6 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     q = Z.shape[1]
     if q < 1:
         raise ShapeError("fit_robust requires at least one missing-feature column")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
     if n < d + q:
         warnings.warn(
             f"only {n} samples for {d}+{q} feature dimensions; fits may be degenerate",
@@ -69,9 +68,7 @@ def fit_robust(X, Z, y, alpha: float) -> RobustModel:
     Xc = X - x_mean
 
     moments = accumulate_moments(Xc, Z - z_mean, y - y_mean)
-    w_opt = fit_optimistic(moments)
-    w_con = fit_conservative(moments)
-    imputer = fit_imputer(moments)
+    w_opt, imputer, w_con = _fit_linear(moments)
     region = OutlierRegion(minv=pseudoinverse(moments.szz), alpha=alpha, center=z_mean)
 
     deltas = delta_stat(region, imputer, Xc)

@@ -113,6 +113,25 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
 
+    def test_duplicated_column_meets_the_constraint(self, tmp_path):
+        # a repeated x column: the two copies share the weight that x1 gets
+        # alone, and w_con still has errors uncorrelated with z
+        out = simulate(tmp_path, n=300, n_test=0, seed=1)
+        rows = list(csv.reader((out / "train.csv").read_text().splitlines()))
+        with open(tmp_path / "dup.csv", "w", newline="") as f:
+            csv.writer(f).writerows([r + [r[0] if i else "x1copy"] for i, r in enumerate(rows)])
+
+        def fitted(x_cols, sub):
+            model = tmp_path / sub / "model.txt"
+            assert run("fit", "--data", str(tmp_path / "dup.csv"), "--x-cols", x_cols, "--z-cols", "z1",
+                       "--y-col", "y", "--alpha", "0.1", "--model-out", str(model)) == EXIT_OK
+            return dict(line.split("=", 1) for line in model.read_text().splitlines())
+
+        pair, single = fitted("x1,x1copy", "pair"), fitted("x1", "single")
+        assert sum(map(float, pair["w_con"].split())) == pytest.approx(float(single["w_con"]), rel=1e-10)
+        assert float(pair["w_con_residual"]) <= 1e-8
+        assert pair["w_con_infeasible"] == "0"
+
     def test_refit_identical_model_file(self, tmp_path):
         out = simulate(tmp_path)
         for sub in ("m1", "m2"):
@@ -714,6 +733,35 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert out.startswith("usage: robustpred experiment [-h]") and "--n-runs N_RUNS" in out
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("simulate", "--noise-x-var", "nan", "--n", "3"), "--noise-x-var"),
+            (("simulate", "--process", "poly", "--w0", "nan"), "--w0"),
+            (("simulate", "--process", "poly", "--w1", "inf"), "--w1"),
+            (("simulate", "--rho", "nan"), "--rho"),
+            (("experiment", "--noise-y-var", "inf", "--n-runs", "2", "--n-test", "100"), "--noise-y-var"),
+            (("experiment", "--nu-u", "inf", "--n-runs", "2", "--n-test", "100"), "--nu-u"),
+        ],
+    )
+    def test_non_finite_setting_names_its_flag(self, tmp_path, capsys, argv, flag):
+        # nan passes a bare `value < 0` test; each setting's domain rejects
+        # nan and inf before any draw, and the one error line names the flag
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be "), err
+        assert not out.exists()
+
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        # fit_robust warns on n < d + q; the CLI prints it as one warning:
+        # line, without the source path and source line of Python's format
+        run("experiment", "--n-train", "3", "--n-runs", "2", "--n-test", "100", "--out", str(tmp_path / "e"))
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: only 3 samples for 3+1 feature dimensions; fits may be degenerate" in err
+        assert all(line.startswith(("warning: ", "error: ")) for line in err), err
+        assert not any(".py" in line or "UserWarning" in line for line in err), err
+
     @pytest.mark.parametrize("command", ["simulate", "experiment"])
     @pytest.mark.parametrize("flag,name", [("--nu-z", "nu_z"), ("--nu-u", "nu_u")])
     @pytest.mark.parametrize("dof", ["1", "1.5", "2"])
@@ -723,5 +771,7 @@ class TestUsageErrors:
         size = ("--n-runs", "1") if command == "experiment" else ("--n", "50")
         assert run(command, flag, dof, *size, "--out", str(out)) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == f"error: {name} must be > 2 so that the t draw has a variance, got {float(dof)}\n"
+        # the error names the flag, not the config field behind it
+        assert err == f"error: {flag} must be > 2 and finite so that the t draw has a variance, got {float(dof)}\n"
+        assert name not in err
         assert not out.exists()

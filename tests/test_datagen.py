@@ -90,6 +90,19 @@ class TestGenerateLinear:
         with pytest.raises(ValidationError, match=f"^{name} must be > 2"):
             SyntheticConfig(**{name: dof})
 
+    @pytest.mark.parametrize("name", ["rho", "nu_z", "nu_u", "noise_x_var", "noise_y_var"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_setting_rejected(self, name, value):
+        # each domain is a comparison that nan fails, and inf lies outside it
+        with pytest.raises(ValidationError, match=f"^{name} must be "):
+            SyntheticConfig(**{name: value})
+
+    def test_non_finite_sigma_u_rejected(self):
+        sigma = np.eye(3)
+        sigma[1, 1] = np.nan
+        with pytest.raises(ValidationError, match="^sigma_u must be finite"):
+            SyntheticConfig(sigma_u=sigma)
+
 
 class TestGeneratePoly:
     def test_zero_weights_zero_noise(self):
@@ -113,6 +126,14 @@ class TestGeneratePoly:
             PolyConfig(nu_z=3.0)
         with pytest.raises(ValidationError):
             PolyConfig(nu_u=4.0)
+
+    @pytest.mark.parametrize("name,i", [("wz", 0), ("wz", 1), ("wx", 0), ("wx", 5)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, name, i, value):
+        weights = list(getattr(PolyConfig, name))
+        weights[i] = value
+        with pytest.raises(ValidationError, match=rf"^{name}\[{i}\] must be finite"):
+            PolyConfig(**{name: tuple(weights)})
 
 
 class TestFeatureMapQuadratic:

@@ -1,4 +1,5 @@
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustpred.datagen import PolyConfig, SyntheticConfig, generate_linear
+from robustpred.dataio import read_csv
 from robustpred.evalkit import (
     _bin_index,
     _split_report,
@@ -504,6 +506,22 @@ class TestExcessMseCheck:
             assert check.term_dispersion >= 0.0
             assert check.term_residual >= -1e-12
             assert check.lhs == pytest.approx(check.rhs, rel=0.01)
+
+    @pytest.mark.parametrize("sample", ["golden_train", "acceptance_style"])
+    def test_identity_exact_on_training_moments(self, sample):
+        # on any sample with invertible szz the identity is algebra, so it
+        # holds to rounding; the conservative weights zero the dispersion term
+        if sample == "golden_train":
+            table = read_csv(Path(__file__).parent / "golden" / "sim" / "train.csv")
+            X = np.column_stack([table.column(c) for c in ("x1", "x2", "x3")])
+            Z, y = table.column("z1")[:, None], table.column("y")
+        else:
+            X, Z, y = generate_linear(SyntheticConfig(rho=0.7, nu_z=3.0, n=100, seed=3))
+        m = accumulate_moments(X - X.mean(0), Z - Z.mean(0), y - y.mean())
+        for w in (fit_optimistic(m).weights, fit_conservative(m).weights):
+            check = excess_mse_check(m, w)
+            assert abs(check.lhs - check.rhs) <= 1e-12 * abs(check.lhs)
+        assert check.term_dispersion <= 1e-12 * check.term_residual
 
     def test_singular_szz_rejected(self):
         rng = np.random.default_rng(63)

@@ -8,7 +8,6 @@ from robustpred.linalg import (
     ValidationError,
     accumulate_moments,
     empirical_mse,
-    minimize_quadratic_on_affine,
     null_space_projector,
     pseudoinverse,
 )
@@ -159,36 +158,3 @@ class TestNullSpaceProjector:
         pi = null_space_projector(A)
         assert np.linalg.matrix_rank(pi) == 6 - np.linalg.matrix_rank(A)
 
-
-class TestMinimizeQuadraticOnAffine:
-    def make_moments(self, seed, n=200, d=4, q=1):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, d))
-        Z = rng.normal(size=(n, q))
-        y = rng.normal(size=n)
-        return accumulate_moments(X, Z, y)
-
-    def test_zero_projector_returns_anchor(self):
-        m = self.make_moments(6)
-        w0 = np.array([1.0, -2.0, 0.5, 0.0])
-        np.testing.assert_allclose(
-            minimize_quadratic_on_affine(m, w0, np.zeros((4, 4))), w0
-        )
-
-    def test_identity_projector_unconstrained_minimizer(self):
-        m = self.make_moments(7)
-        w = minimize_quadratic_on_affine(m, np.zeros(4), np.eye(4))
-        expected = pseudoinverse(m.sxx) @ m.sxy
-        np.testing.assert_allclose(w, expected, atol=1e-10)
-
-    def test_random_probe_optimality(self):
-        m = self.make_moments(8)
-        rng = np.random.default_rng(80)
-        A = rng.normal(size=(1, 4))
-        pi = null_space_projector(A)
-        w0 = rng.normal(size=4)
-        w_star = minimize_quadratic_on_affine(m, w0, pi)
-        best = empirical_mse(m, w_star)
-        assert best <= empirical_mse(m, w0) + 1e-12
-        for theta in rng.normal(size=(1000, 4)):
-            assert best <= empirical_mse(m, w0 + pi @ theta) + 1e-10

@@ -6,6 +6,7 @@ import pytest
 from robustpred.datagen import SyntheticConfig, generate_linear
 from robustpred.linalg import SecondMoments, ShapeError, accumulate_moments, empirical_mse, null_space_projector, pseudoinverse
 from robustpred.predictors import (
+    CONSTRAINT_RTOL,
     LinearPredictor,
     fit_conservative,
     fit_imputer,
@@ -105,6 +106,53 @@ class TestFitConservative:
         p = fit_conservative(m)
         assert not p.constraint_infeasible
         assert p.constraint_residual <= 1e-8 * (1.0 + np.max(np.abs(m.szy)))
+
+    def test_duplicated_column_meets_the_constraint(self):
+        # the null spaces of sxx and szx meet along x1 - x1copy: the two
+        # copies share the single-column weight, and the constraint holds
+        X, Z, y = generate_linear(SyntheticConfig(n=300, seed=1))
+        X, Z, y = X - X.mean(0), Z - Z.mean(0), y - y.mean()
+        single = fit_conservative(accumulate_moments(X[:, :1], Z, y))
+        p = fit_conservative(accumulate_moments(X[:, [0, 0]], Z, y))
+        assert p.weights.sum() == pytest.approx(single.weights[0], rel=1e-10)
+        assert p.constraint_residual <= 1e-8 and not p.constraint_infeasible
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+    def test_near_collinear_z_keeps_both_constraints(self, eps, seed):
+        # z2 = z1 + eps * noise: szx is nearly rank one, but both of its rows
+        # still bind; pseudo-inverting szx G' (szx's conditioning squared)
+        # would drop the second row's direction
+        X, Z, y = generate_linear(SyntheticConfig(n=2000, seed=seed))
+        noise = np.random.default_rng(seed).normal(size=len(Z))
+        Z = np.column_stack([Z[:, 0], Z[:, 0] + eps * noise])
+        m = accumulate_moments(X - X.mean(0), Z - Z.mean(0), y - y.mean())
+        p = fit_conservative(m)
+        assert not p.constraint_infeasible
+        assert p.constraint_residual <= CONSTRAINT_RTOL * (1.0 + np.max(np.abs(m.szy)))
+
+
+class TestSharedFactorisation:
+    def test_fit_robust_factorises_three_matrices(self, monkeypatch):
+        # one SVD each of sxx (d x d), of the whitened q x r cross moment
+        # and of szz (q x q): never szx itself or a d x d curvature
+        factorised = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            factorised.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        # np.linalg.pinv calls the svd of its own module's namespace
+        monkeypatch.setitem(np.linalg.pinv.__wrapped__.__globals__, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        X, Z, y = generate_linear(SyntheticConfig(n=400, seed=3))
+        X = np.column_stack([X, X[:, 0]])  # d = 4, rank 3
+        Z = np.column_stack([Z, Z[:, 0] ** 2])  # q = 2
+        fit_robust(X, Z, y, 0.2)
+        assert [a.shape for a in factorised] == [(4, 4), (2, 3), (2, 2)]
+        szx = (Z - Z.mean(0)).T @ (X - X.mean(0)) / len(y)
+        assert not any(a.shape == szx.shape for a in factorised)
 
 
 class TestFitOracle:

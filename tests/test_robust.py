@@ -5,7 +5,7 @@ import pytest
 
 from robustpred.datagen import SyntheticConfig, generate_linear
 from robustpred.gate import SingleClassError, delta_stat, is_outlier, mahalanobis_stat, prob_outlier
-from robustpred.linalg import ShapeError
+from robustpred.linalg import ShapeError, ValidationError
 from robustpred.robust import adaptive_weights, fit_robust, outlier_probability, predict_parts, predict_robust
 
 
@@ -74,8 +74,9 @@ class TestFitRobust:
         assert peak <= 2.5 * input_bytes
 
     def test_invalid_alpha(self):
+        # the tail region states alpha's range, once
         rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, 1\]$"):
             fit_robust(rng.normal(size=(50, 3)), rng.normal(size=(50, 1)), rng.normal(size=50), 0.0)
 
 
