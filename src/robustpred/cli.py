@@ -25,6 +25,7 @@ import numpy as np
 from . import dataio, evalkit
 from .datagen import PolyConfig, SyntheticConfig, generate_linear, generate_poly
 from .dataio import CsvParseError, LagSpec, fmt_float
+from .gate import _check_alpha
 from .linalg import ShapeError, ValidationError
 from .robust import fit_robust, predict_parts
 
@@ -296,9 +297,10 @@ _POSITIVE_INT = _int_at_least(1)
 def _alpha(text):
     """An argparse ``type``: a tail-region mass, a float in (0, 1]."""
     value = float(text)  # a ValueError is argparse's "invalid float value"
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+    try:
+        return _check_alpha(value)
+    except ValidationError as exc:  # "alpha must ...": argparse names the flag
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("alpha ")) from None
 
 
 _alpha.__name__ = "float"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 import os
@@ -37,15 +36,6 @@ def _squared_names(names) -> tuple:
 # each maps X, and maps X's column names to the mapped columns' names
 FEATURE_MAPS = {"none": (np.asarray, tuple), "quadratic": (feature_map_quadratic, _squared_names)}
 _GAP_TOKENS = {"", "na", "nan", "null", "none"}
-# A gap cell with the comma or line break before it: empty next to a comma,
-# blank, or a gap token in any ASCII case with spaces or tabs around it. A
-# blank line is no cell at all.
-_GAP_CELL = re.compile(
-    r"([,\r\n])(?:[ \t]*(?:{})[ \t]*|[ \t]+|(?<=,)|(?=,))(?=[,\r\n]|\Z)".format(
-        "|".join(sorted(t for t in _GAP_TOKENS if t))
-    ),
-    re.IGNORECASE | re.ASCII,
-)
 _WRITE_CHUNK_ROWS = 16384
 _SCAN_BLOCK = 1 << 20
 # numpy's loadtxt decompresses a path that ends in one of these
@@ -175,19 +165,15 @@ def _parse_body(path, encoding, head_lines, header, names):
         return [np.empty(0) for _ in names]
     fields = [f"f{i}" for i in range(len(header))]
     dtype = np.dtype({"names": fields, "formats": ["f8" if h in names else "U1" for h in header]})
-    skip = len(head_lines)
-    read = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1, encoding=encoding)
+    read = functools.partial(np.loadtxt, path, dtype=dtype, delimiter=",", comments=None,
+                             skiprows=len(head_lines), ndmin=1, encoding=encoding)
     try:
-        rows = read(path, dtype=dtype, skiprows=skip)
+        rows = read()
     except ValueError:
-        # gap cells are the usual reason: spell each one "nan", which the C
-        # parser reads as the same NaN, and parse again
-        with _open_body(path, skip) as fh:
-            body, n_gaps = _spell_gaps(fh.read())
-        if not n_gaps:
-            return None
+        # gap cells are the usual reason: parse the path again, each column
+        # read by the cell loop's rule
         try:
-            rows = read(io.StringIO(body, newline=""), dtype=dtype)
+            rows = read(converters={i: _cell_value for i, h in enumerate(header) if h in names})
         except ValueError:
             return None
     if len(rows) != n_lines:
@@ -224,11 +210,11 @@ def _scan_body(path, offset: int):
     return n_lines, n_bytes > n_lf + n_cr
 
 
-def _spell_gaps(body: str):
-    """``body`` with each gap cell spelled "nan", and the number of gaps."""
-    # the "\n" in front gives the first cell a line break before it
-    spelled, n_gaps = _GAP_CELL.subn(r"\1nan", "\n" + body)
-    return spelled[1:], n_gaps
+def _cell_value(text: str) -> float:
+    """The number a cell's text holds: NaN for a gap, an empty or NA-like
+    cell, and Python's ``float`` of the stripped text otherwise."""
+    text = text.strip()
+    return math.nan if text.lower() in _GAP_TOKENS else float(text)
 
 
 def _open_body(path, n_head: int):
@@ -251,12 +237,8 @@ def _read_cells(path, fh, header, names) -> list:
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             for i, name in read:
-                cell = row[i].strip()
-                if cell.lower() in _GAP_TOKENS:
-                    cols[name].append(math.nan)
-                    continue
                 try:
-                    cols[name].append(float(cell))
+                    cols[name].append(_cell_value(row[i]))
                 except ValueError:
                     raise CsvParseError(f"{path}: non-numeric cell at row {r}, column {name}") from None
     except csv.Error as exc:  # the reader failed on the row after row r

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import PolyConfig, SyntheticConfig, _draw, _raw_buffers, _shape_linear, _shape_poly, feature_map_quadratic
-from .gate import is_outlier
+from .gate import _check_alpha, is_outlier
 from .linalg import SecondMoments, ShapeError, ValidationError, accumulate_moments, empirical_mse
 from .predictors import fit_oracle
 from .robust import RobustModel, _predict_centered, fit_robust, predict_parts
@@ -237,8 +237,7 @@ def run_mc_experiment(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     deltas = {name: ([], []) for name in PREDICTORS}
     completed, failed = [], []
 

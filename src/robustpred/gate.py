@@ -27,6 +27,14 @@ class SingleClassError(ValueError):
     """All training labels fell in one class; advise a larger alpha."""
 
 
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` if it is a tail-region mass, in (0, 1]; any other value,
+    nan included, is a ``ValidationError``."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class OutlierRegion:
     """Tail region {z : (z - center)' minv (z - center) >= q / alpha}."""
@@ -36,8 +44,7 @@ class OutlierRegion:
     center: np.ndarray = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError("alpha must be in (0, 1]")
+        _check_alpha(self.alpha)
         if self.center is None:
             object.__setattr__(self, "center", np.zeros(self.minv.shape[0]))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,15 @@ class TestReadCsvEdgeCases:
             ("a,b\n1,2\n3,4", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
             (" a , b \n 1 ,\t2 \n-0.0,  5e-324\n", {"a": [1.0, -0.0], "b": [2.0, 5e-324]}),
             ("a\n1\n2\n", {"a": [1.0, 2.0]}),
+            # gap cells: empty, blank, or a gap token in any ASCII case with
+            # spaces or tabs around it
+            ("a,b\n1,\n,2\n,\n", {"a": [1.0, NAN, NAN], "b": [NAN, 2.0, NAN]}),
+            ("a,b\r\nNA,1\r\nnOnE,2\rNull,nan\r", {"a": [NAN, NAN, NAN], "b": [1.0, 2.0, NAN]}),
+            ("a\n \n\t\n", {"a": [NAN, NAN]}),
+            ('a,b,c,d\n na ,"", NA\t,\n', {"a": [NAN], "b": [NAN], "c": [NAN], "d": [NAN]}),
+            ("a,b\n1,2", {"a": [1.0], "b": [2.0]}),
+            ("a,b\n1,", {"a": [1.0], "b": [NAN]}),
+            ("a,b\n,", {"a": [NAN], "b": [NAN]}),
         ],
     )
     def test_same_arrays_as_cell_parse(self, tmp_path, text, columns):
@@ -116,6 +126,10 @@ class TestReadCsvEdgeCases:
             ("a\n1\n\n", "row 2 has 0 cells, expected 1"),
             ("a,a,b\n1,2,3\n", "column 'a' appears more than once in the header"),
             ("b, a ,a\n1,2,3\n", "column 'a' appears more than once in the header"),
+            # a blank line is no cell, and a gap token runs to its cell's edges
+            ("a\n1\n\n \n\t\n", "row 2 has 0 cells, expected 1"),
+            ('a,b,c,d,e,f\n na ,"",NULLx,n a, NA\t,\n', "non-numeric cell at row 1, column c"),
+            ("a,b\n1,n a\n", "non-numeric cell at row 1, column b"),
         ],
     )
     def test_same_error_as_cell_parse(self, tmp_path, text, message):
@@ -126,45 +140,29 @@ class TestReadCsvEdgeCases:
         assert str(exc.value) == f"{p}: {message}"
 
     def test_gaps_read_by_the_fast_parse(self, tmp_path, monkeypatch):
-        # scattered gaps in every spelling: the C parse of the spelled body
-        # reads the file, and the cell loop never runs
-        spelled = []
+        # scattered gaps in every spelling: the C parse of the path with the
+        # cell rule as converter reads the file, and the cell loop never runs
+        seen = []
 
-        def spell_gaps(body):
-            spelled.append(real(body))
-            return spelled[-1]
+        def cell_value(text):
+            seen.append(text)
+            return real(text)
 
         def no_cell_loop(*args):
             raise AssertionError("the cell loop ran")
 
-        real = dataio._spell_gaps
-        monkeypatch.setattr(dataio, "_spell_gaps", spell_gaps)
+        real = dataio._cell_value
+        monkeypatch.setattr(dataio, "_cell_value", cell_value)
         monkeypatch.setattr(dataio, "_read_cells", no_cell_loop)
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\r\n1,2\r\n3,\r\n,6\r\n NA ,8\r\n9,null\r\n\tNone,-0.0\r\n11,nan")
         t = read_csv(p)
-        assert [n_gaps for _, n_gaps in spelled] == [6]
+        assert len(seen) == 14
         want = {"a": [1, 3, NAN, NAN, 9, NAN, 11], "b": [2, NAN, 6, 8, NAN, -0.0, NAN]}
         for name, column in want.items():
             got = t.column(name)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got.view(np.uint64), np.asarray(column, float).view(np.uint64))
-
-    @pytest.mark.parametrize(
-        "body, spelled",
-        [
-            ("1,\n,2\n,\n", "1,nan\nnan,2\nnan,nan\n"),
-            ("1\n\n \n\t\n", "1\n\nnan\nnan\n"),  # a blank line is no cell
-            ("NA\r\nnOnE\rNull,nan\r", "nan\r\nnan\rnan,nan\r"),
-            (' na ,"",NULLx,n a, NA\t,\n', 'nan,"",NULLx,n a,nan,nan\n'),
-            ("1,2", "1,2"),
-            ("1,", "1,nan"),
-            (",", "nan,nan"),
-            ("", ""),
-        ],
-    )
-    def test_gap_cells_spelled_nan(self, body, spelled):
-        assert dataio._spell_gaps(body)[0] == spelled
 
     def test_date_column_absent_from_header(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -174,13 +172,13 @@ class TestReadCsvEdgeCases:
 
 
 def forbid_slow_paths(monkeypatch):
-    """Make the gap spelling and the cell loop raise, so a read that needs
-    either fails."""
+    """Make the cell rule and the cell loop raise, so a read that needs the
+    converter parse or the cell loop fails."""
 
     def slow(*args):
         raise AssertionError("the C parse of the file's own text gave up")
 
-    monkeypatch.setattr(dataio, "_spell_gaps", slow)
+    monkeypatch.setattr(dataio, "_cell_value", slow)
     monkeypatch.setattr(dataio, "_read_cells", slow)
 
 
@@ -299,6 +297,35 @@ class TestReadCsvColumns:
             assert list(t.columns) == list(t.names)
             for name in t.names:
                 assert_bitwise(t.column(name), cols[name])
+
+    def test_gaps_take_no_more_memory_than_the_clean_read(self, tmp_path):
+        # the file with gaps is parsed again from its path, not from a copy
+        # of its body in memory
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(50_000, 5))
+        cells = [[repr(v) for v in row] for row in values.tolist()]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(["a,b,c,d,e"] + [",".join(row) for row in cells]) + "\n")
+        for k, i in enumerate(rng.choice(values.size, 500, replace=False)):
+            r, c = divmod(int(i), 5)
+            cells[r][c] = ("", " NA ", "null")[k % 3]
+            values[r, c] = NAN
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n".join(["a,b,c,d,e"] + [",".join(row) for row in cells]) + "\n")
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                t = read_csv(path)
+                return tracemalloc.get_traced_memory()[1], t
+            finally:
+                tracemalloc.stop()
+
+        clean_peak, _ = peak(clean)
+        gappy_peak, t = peak(gappy)
+        for j, name in enumerate("abcde"):
+            assert_bitwise(t.column(name), values[:, j])
+        assert gappy_peak <= 1.25 * clean_peak
 
     @pytest.mark.parametrize(
         "text",

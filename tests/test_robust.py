@@ -76,7 +76,7 @@ class TestFitRobust:
     def test_invalid_alpha(self):
         # the tail region states alpha's range, once
         rng = np.random.default_rng(10)
-        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, 1\]$"):
+        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, 1\], got 0\.0$"):
             fit_robust(rng.normal(size=(50, 3)), rng.normal(size=(50, 1)), rng.normal(size=50), 0.0)
 
 
